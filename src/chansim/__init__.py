@@ -29,7 +29,7 @@ from .presets import preset, preset_names
 from .runner import RunResult, build_correlation, emit_csv, run_experiment, trial_value
 from .xlmimo import (Cluster, ClusterCorrelation, ClusterScheme, PathlossParams,
                      XlScenario, assemble_channel_matrix, build_scenario,
-                     cluster_channel, generate_vr, pathloss_per_antenna,
+                     cluster_channel, pathloss_per_antenna,
                      place_clusters, position_vr, rayleigh_distance,
                      user_channel, vr_mask_chain)
 

@@ -18,7 +18,7 @@ import sys
 from .config import config_to_text, parse_config
 from .errors import ChansimError, ConfigError, IoError
 from .presets import preset, preset_names
-from .runner import emit_csv, run_experiment
+from .runner import emit_csv, format_csv, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,10 +66,7 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
     result = run_experiment(cfg)
     if args.out is None:
-        lines = [",".join(result.columns)]
-        from .runner import _fmt
-        lines += [",".join(_fmt(v) for v in row) for row in result.rows]
-        print("\n".join(lines))
+        sys.stdout.write(format_csv(result))
     else:
         emit_csv(result, args.out)
     return EXIT_OK

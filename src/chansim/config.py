@@ -16,40 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-
-MODELS = (
-    "exponential", "uncorrelated", "exponential_shadow",
-    "onering_ula", "gaussian_ula", "gaussian_ula_closed", "gaussian_ula_shadowed",
-    "onering_upa", "gaussian_upa",
-    "iid", "xl",
-)
-
-METRICS = ("capacity_ub", "ergodic_capacity", "sinr", "condition_number",
-           "svd_spectrum", "corr_coeff", "vr_stats")
-
-# Which metrics make sense for which model family.
-_CORRELATION_MODELS = MODELS[:9] + ("iid",)
-_METRIC_MODELS = {
-    "capacity_ub": _CORRELATION_MODELS,
-    "ergodic_capacity": _CORRELATION_MODELS,
-    "condition_number": _CORRELATION_MODELS,
-    "svd_spectrum": _CORRELATION_MODELS,
-    "corr_coeff": _CORRELATION_MODELS,
-    "sinr": ("xl",),
-    "vr_stats": ("xl",),
-}
-
-# Sweepable parameter name -> ExperimentConfig field.
-SWEEPABLE = {
-    "m": "m", "rho": "rho", "beta": "beta", "sigma_shad": "sigma_shad",
-    "theta": "theta_deg", "phi": "phi_deg", "delta": "delta_deg",
-    "sigma_phi": "sigma_phi_deg", "theta_el": "theta_el_deg",
-    "delta_theta": "delta_theta_deg", "sigma_theta": "sigma_theta_deg",
-    "d_h": "d_h", "d_v": "d_v",
-    "num_users": "num_users", "vr_antennas": "vr_antennas",
-    "correlation": "xl_correlation", "precoder": "precoder",
-    "scheme": "xl_scheme", "d1": "d1", "d2": "d2",
-}
+from .registry import METRICS, MODELS
 
 Grid = tuple
 
@@ -68,6 +35,14 @@ class SweepSpec:
             raise ConfigError(f"empty grid for sweep parameter '{self.param}'")
 
 
+def _key(key: str, default=dataclasses.MISSING, sweep: str | None = None):
+    """A config field with its document key and, if sweepable, its sweep name.
+
+    The value type is the default's; fields without a default are strings.
+    """
+    return field(default=default, metadata={"key": key, "sweep": sweep})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description.
@@ -77,58 +52,58 @@ class ExperimentConfig:
     output row per combination.
     """
 
-    model: str
-    metric: str
+    model: str = _key("model")
+    metric: str = _key("metric")
     sweep: SweepSpec
     curves: tuple = ()
-    trials: int = 300
-    seed: int = 0
-    snr_db: float = 60.0
-    workers: int = 1
+    trials: int = _key("trials", 300)
+    seed: int = _key("seed", 0)
+    snr_db: float = _key("snr_db", 60.0)
+    workers: int = _key("workers", 1)
     # array geometry; m_h = 0 means a linear array
-    m: int = 100
-    m_h: int = 0
-    m_v: int = 0
-    d_h: float = 0.5
-    d_v: float = 0.5
+    m: int = _key("geometry.m", 100, sweep="m")
+    m_h: int = _key("geometry.m_h", 0)
+    m_v: int = _key("geometry.m_v", 0)
+    d_h: float = _key("geometry.d_h", 0.5, sweep="d_h")
+    d_v: float = _key("geometry.d_v", 0.5, sweep="d_v")
     # correlation-model parameters (angles in degrees)
-    rho: float = 0.5
-    beta: float = 1.0
-    sigma_shad: float = 0.0
-    theta_deg: float = 0.0
-    phi_deg: float = 30.0
-    delta_deg: float = 10.0
-    sigma_phi_deg: float = 10.0
-    theta_el_deg: float = 0.0
-    delta_theta_deg: float = 15.0
-    sigma_theta_deg: float = 15.0
-    num_scatterers: int = 1
-    svd_index: int = 0
+    rho: float = _key("model.rho", 0.5, sweep="rho")
+    beta: float = _key("model.beta", 1.0, sweep="beta")
+    sigma_shad: float = _key("model.sigma_shad", 0.0, sweep="sigma_shad")
+    theta_deg: float = _key("model.theta_deg", 0.0, sweep="theta")
+    phi_deg: float = _key("model.phi_deg", 30.0, sweep="phi")
+    delta_deg: float = _key("model.delta_deg", 10.0, sweep="delta")
+    sigma_phi_deg: float = _key("model.sigma_phi_deg", 10.0, sweep="sigma_phi")
+    theta_el_deg: float = _key("model.theta_el_deg", 0.0, sweep="theta_el")
+    delta_theta_deg: float = _key("model.delta_theta_deg", 15.0, sweep="delta_theta")
+    sigma_theta_deg: float = _key("model.sigma_theta_deg", 15.0, sweep="sigma_theta")
+    num_scatterers: int = _key("model.num_scatterers", 1)
+    svd_index: int = _key("model.svd_index", 0)
     # XL-MIMO scenario parameters
-    xl_scheme: str = "scheme1"
-    num_users: int = 10
-    clusters_per_user: int = 2
-    d1: float = 35.0
-    d2: float = 20.0
-    xl_correlation: str = "uncorrelated"
-    precoder: str = "cb"
-    total_power: float = 1.0
-    power_convention: str = "amplitude"
-    p0: float = 0.05
-    p1: float = 0.95
-    c: float = 0.05
-    r_min: float = 5.0
-    r_max: float = 10.0
-    vr_antennas: int = 33
+    xl_scheme: str = _key("xl.scheme", "scheme1", sweep="scheme")
+    num_users: int = _key("xl.users", 10, sweep="num_users")
+    clusters_per_user: int = _key("xl.clusters_per_user", 2)
+    d1: float = _key("xl.d1", 35.0, sweep="d1")
+    d2: float = _key("xl.d2", 20.0, sweep="d2")
+    xl_correlation: str = _key("xl.correlation", "uncorrelated", sweep="correlation")
+    precoder: str = _key("xl.precoder", "cb", sweep="precoder")
+    total_power: float = _key("xl.total_power", 1.0)
+    power_convention: str = _key("power_convention", "amplitude")
+    p0: float = _key("xl.p0", 0.05)
+    p1: float = _key("xl.p1", 0.95)
+    c: float = _key("xl.c", 0.05)
+    r_min: float = _key("xl.r_min", 5.0)
+    r_max: float = _key("xl.r_max", 10.0)
+    vr_antennas: int = _key("xl.vr_antennas", 33, sweep="vr_antennas")
     # 1 = draw scenario geometry once per sweep point instead of per trial
-    freeze_geometry: int = 0
+    freeze_geometry: int = _key("xl.freeze_geometry", 0)
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model '{self.model}'")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric '{self.metric}'")
-        if self.model not in _METRIC_MODELS[self.metric]:
+        if MODELS[self.model].family != METRICS[self.metric].family:
             raise ConfigError(
                 f"metric '{self.metric}' is not defined for model '{self.model}'")
         if self.trials < 1:
@@ -145,6 +120,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown precoder '{self.precoder}'")
         if self.power_convention not in ("amplitude", "power"):
             raise ConfigError(f"unknown power convention '{self.power_convention}'")
+
+
+# dotted document key -> ExperimentConfig field
+_FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(ExperimentConfig)
+           if "key" in f.metadata}
+# Sweepable parameter name -> ExperimentConfig field name.
+SWEEPABLE = {f.metadata["sweep"]: f.name for f in _FIELDS.values()
+             if f.metadata["sweep"]}
+_SECTIONS = ("sweep", "curve", "curve2", "curve3")
 
 
 def _parse_scalar(text: str):
@@ -180,39 +164,6 @@ def parse_grid(text: str) -> Grid:
     return tuple(_parse_scalar(p.strip()) for p in text.split(",") if p.strip())
 
 
-_INT_KEYS = {"trials", "seed", "workers", "geometry.m", "geometry.m_h",
-             "geometry.m_v", "model.num_scatterers", "model.svd_index",
-             "xl.users", "xl.clusters_per_user", "xl.vr_antennas",
-             "xl.freeze_geometry"}
-_STR_KEYS = {"model", "metric", "sweep.param", "curve.param", "curve2.param",
-             "curve3.param", "xl.scheme", "xl.correlation", "xl.precoder",
-             "power_convention"}
-_GRID_KEYS = {"sweep.grid", "curve.grid", "curve2.grid", "curve3.grid"}
-
-# dotted document key -> ExperimentConfig field
-_KEY_FIELD = {
-    "model": "model", "metric": "metric",
-    "trials": "trials", "seed": "seed", "snr_db": "snr_db", "workers": "workers",
-    "power_convention": "power_convention",
-    "geometry.m": "m", "geometry.m_h": "m_h", "geometry.m_v": "m_v",
-    "geometry.d_h": "d_h", "geometry.d_v": "d_v",
-    "model.rho": "rho", "model.beta": "beta", "model.sigma_shad": "sigma_shad",
-    "model.theta_deg": "theta_deg", "model.phi_deg": "phi_deg",
-    "model.delta_deg": "delta_deg", "model.sigma_phi_deg": "sigma_phi_deg",
-    "model.theta_el_deg": "theta_el_deg",
-    "model.delta_theta_deg": "delta_theta_deg",
-    "model.sigma_theta_deg": "sigma_theta_deg",
-    "model.num_scatterers": "num_scatterers", "model.svd_index": "svd_index",
-    "xl.scheme": "xl_scheme", "xl.users": "num_users",
-    "xl.clusters_per_user": "clusters_per_user",
-    "xl.d1": "d1", "xl.d2": "d2", "xl.correlation": "xl_correlation",
-    "xl.precoder": "precoder", "xl.total_power": "total_power",
-    "xl.p0": "p0", "xl.p1": "p1", "xl.c": "c",
-    "xl.r_min": "r_min", "xl.r_max": "r_max", "xl.vr_antennas": "vr_antennas",
-    "xl.freeze_geometry": "freeze_geometry",
-}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a key=value document into a validated ExperimentConfig."""
     raw: dict[str, str] = {}
@@ -232,8 +183,8 @@ def parse_config(text: str) -> ExperimentConfig:
     sweeps: dict[str, dict[str, object]] = {}
     for key, value in raw.items():
         head = key.split(".", 1)[0]
-        if head in ("sweep", "curve", "curve2", "curve3"):
-            if key not in _GRID_KEYS and key not in _STR_KEYS:
+        if head in _SECTIONS:
+            if key not in (f"{head}.param", f"{head}.grid"):
                 raise ConfigError(f"unknown key '{key}'")
             slot = sweeps.setdefault(head, {})
             if key.endswith(".grid"):
@@ -241,20 +192,15 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 slot["param"] = value
             continue
-        if key not in _KEY_FIELD:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown key '{key}'")
-        if key in _INT_KEYS:
-            try:
-                kwargs[_KEY_FIELD[key]] = int(value)
-            except ValueError:
-                raise ConfigError(f"key '{key}' expects an integer, got '{value}'") from None
-        elif key in _STR_KEYS:
-            kwargs[_KEY_FIELD[key]] = value
-        else:
-            try:
-                kwargs[_KEY_FIELD[key]] = float(value)
-            except ValueError:
-                raise ConfigError(f"key '{key}' expects a number, got '{value}'") from None
+        fld = _FIELDS[key]
+        kind = str if fld.default is dataclasses.MISSING else type(fld.default)
+        try:
+            kwargs[fld.name] = kind(value)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"key '{key}' expects {expected}, got '{value}'") from None
 
     for name in ("model", "metric"):
         if name not in kwargs:
@@ -269,7 +215,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     kwargs["sweep"] = build_sweep(sweeps["sweep"])
     curves = []
-    for name in ("curve", "curve2", "curve3"):
+    for name in _SECTIONS[1:]:
         if name in sweeps:
             curves.append(build_sweep(sweeps[name]))
     kwargs["curves"] = tuple(curves)
@@ -289,21 +235,14 @@ def _format_grid(grid: Grid) -> str:
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize a config so that parse_config reads back an equal object."""
     lines = []
-    field_key = {f: k for k, f in _KEY_FIELD.items()}
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
-                if f.default is not dataclasses.MISSING}
-    for fld in dataclasses.fields(ExperimentConfig):
-        if fld.name in ("sweep", "curves"):
-            continue
+    for key, fld in _FIELDS.items():
         value = getattr(cfg, fld.name)
-        key = field_key[fld.name]
-        if fld.name in defaults and value == defaults[fld.name] \
-                and fld.name not in ("model", "metric"):
+        if value == fld.default:
             continue
         lines.append(f"{key} = {_format_value(value)}")
     lines.append(f"sweep.param = {cfg.sweep.param}")
     lines.append(f"sweep.grid = {_format_grid(cfg.sweep.grid)}")
-    for name, spec in zip(("curve", "curve2", "curve3"), cfg.curves):
+    for name, spec in zip(_SECTIONS[1:], cfg.curves):
         lines.append(f"{name}.param = {spec.param}")
         lines.append(f"{name}.grid = {_format_grid(spec.grid)}")
     return "\n".join(lines) + "\n"

@@ -204,12 +204,7 @@ def gaussian_ula_closed(geom: UlaGeometry, ang: AngularSpec) -> np.ndarray:
             ValidityWarning,
             stacklevel=2,
         )
-    k = np.arange(geom.m)
-    diff = k[:, None] - k[None, :]
-    phase = np.exp(2j * np.pi * geom.d_h * diff * np.sin(ang.phi))
-    damp = np.exp(-(ang.sigma_phi**2 / 2.0)
-                  * (2.0 * np.pi * geom.d_h * diff * np.cos(ang.phi)) ** 2)
-    return ang.beta * phase * damp
+    return gaussian_ula_shadowed(geom, ang, np.zeros(geom.m), np.array([ang.phi]))
 
 
 def gaussian_ula_shadowed(geom: UlaGeometry, ang: AngularSpec, f: np.ndarray,

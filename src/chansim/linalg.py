@@ -68,19 +68,23 @@ def hermitian_eig(a: np.ndarray, vectors: bool = True) -> Spectrum:
     return Spectrum(values=np.linalg.eigvalsh(a)[::-1])
 
 
+def _clip_psd(values: np.ndarray) -> np.ndarray:
+    """Clip a nonincreasing spectrum to >= 0; raise :class:`NotPSD` below the noise band."""
+    lam_max = values[0] if values.size else 0.0
+    tol = PSD_RTOL * max(lam_max, 0.0)
+    if values[-1] < -tol:
+        raise NotPSD(
+            f"minimum eigenvalue {values[-1]:.3e} below -{PSD_RTOL:.0e} * lambda_max"
+        )
+    return np.clip(values, 0.0, None)
+
+
 def psd_eigvals(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a numerically PSD Hermitian matrix, clipped to >= 0.
 
     Raises :class:`NotPSD` if any eigenvalue is below ``-PSD_RTOL * lambda_max``.
     """
-    spec = hermitian_eig(a, vectors=False)
-    lam_max = spec.values[0] if spec.values.size else 0.0
-    tol = PSD_RTOL * max(lam_max, 0.0)
-    if spec.values[-1] < -tol:
-        raise NotPSD(
-            f"minimum eigenvalue {spec.values[-1]:.3e} below -{PSD_RTOL:.0e} * lambda_max"
-        )
-    return np.clip(spec.values, 0.0, None)
+    return _clip_psd(hermitian_eig(a, vectors=False).values)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -92,13 +96,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     failures.
     """
     spec = hermitian_eig(a, vectors=True)
-    lam_max = spec.values[0] if spec.values.size else 0.0
-    tol = PSD_RTOL * max(lam_max, 0.0)
-    if spec.values[-1] < -tol:
-        raise NotPSD(
-            f"minimum eigenvalue {spec.values[-1]:.3e} below -{PSD_RTOL:.0e} * lambda_max"
-        )
-    lam = np.clip(spec.values, 0.0, None)
+    lam = _clip_psd(spec.values)
     u = spec.vectors
     return (u * np.sqrt(lam)) @ u.conj().T
 

@@ -4,6 +4,7 @@ A run iterates the cartesian product of the sweep grid and any curve
 grids.  Each point executes ``trials`` independent realizations whose
 random streams derive only from (seed, point index, trial index), so the
 output is byte-identical regardless of worker count or scheduling.
+What one trial computes is looked up in :mod:`chansim.registry`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cbsm, gbsm, metrics, precoding, xlmimo
+from . import metrics, xlmimo
 from .config import ExperimentConfig, apply_point, config_to_text
-from .errors import ChansimError, ConfigError, IoError
-from .linalg import condition_number, psd_eigvals, psd_sqrt, sample_correlated, complex_gaussian
-
-MAX_QUAD_NODES = 4001
+from .errors import ChansimError, IoError
+# build_correlation and xl_sinr_noise_power stay importable from here.
+from .registry import METRICS, build_correlation, xl_scenario, xl_sinr_noise_power  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -31,123 +31,6 @@ class RunResult:
     config: ExperimentConfig
 
 
-def _quadrature(spread: float, d_h: float, m_axis: int) -> gbsm.QuadratureConfig:
-    """Node count sized to the integrand's oscillation scale, capped."""
-    needed = int(np.ceil(4.0 * spread * d_h * m_axis)) + 1
-    nodes = min(max(gbsm.DEFAULT_NODES, needed), MAX_QUAD_NODES)
-    return gbsm.QuadratureConfig(nodes_per_dim=nodes)
-
-
-def _upa_geometry(cfg: ExperimentConfig) -> gbsm.UpaGeometry:
-    if cfg.m_h > 0 and cfg.m_v > 0:
-        return gbsm.UpaGeometry(m_h=cfg.m_h, m_v=cfg.m_v, d_h=cfg.d_h, d_v=cfg.d_v)
-    side = int(round(np.sqrt(cfg.m)))
-    if side * side != cfg.m:
-        raise ConfigError(
-            f"planar-array models need geometry.m_h/m_v or a square m, got m={cfg.m}")
-    return gbsm.UpaGeometry(m_h=side, m_v=side, d_h=cfg.d_h, d_v=cfg.d_v)
-
-
-def build_correlation(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    """Correlation matrix for the configured model (one realization).
-
-    Shadowed models draw fresh shadowing (and scatterer angles, when more
-    than one scatterer is configured) from ``rng`` on every call.
-    """
-    if cfg.model == "iid":
-        return cfg.beta * np.eye(cfg.m)
-    if cfg.model == "exponential":
-        return cfg.beta * cbsm.exponential_correlation(
-            cbsm.ExponentialSpec(m=cfg.m, rho=cfg.rho))
-    if cfg.model == "uncorrelated":
-        f = cbsm.draw_shadowing(cfg.m, cfg.sigma_shad, rng)
-        return cbsm.uncorrelated_with_shadowing(cfg.m, cfg.beta, f)
-    if cfg.model == "exponential_shadow":
-        spec = cbsm.ExponentialSpec(m=cfg.m, rho=cfg.rho,
-                                    theta=np.radians(cfg.theta_deg),
-                                    beta=cfg.beta, sigma_shad=cfg.sigma_shad)
-        f = cbsm.draw_shadowing(cfg.m, cfg.sigma_shad, rng)
-        return cbsm.exponential_with_shadowing(spec, f)
-
-    phi = np.radians(cfg.phi_deg)
-    theta = np.radians(cfg.theta_el_deg)
-    if cfg.model == "onering_ula":
-        geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-        ang = gbsm.AngularSpec(phi=phi, delta_phi=np.radians(cfg.delta_deg),
-                               beta=cfg.beta)
-        return gbsm.onering_ula(geom, ang, _quadrature(ang.delta_phi, cfg.d_h, cfg.m))
-    if cfg.model == "gaussian_ula":
-        geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-        ang = gbsm.AngularSpec(phi=phi, sigma_phi=np.radians(cfg.sigma_phi_deg),
-                               beta=cfg.beta)
-        quad = _quadrature(gbsm.DEFAULT_TRUNCATION * ang.sigma_phi, cfg.d_h, cfg.m)
-        return gbsm.gaussian_ula_numeric(geom, ang, quad)
-    if cfg.model == "gaussian_ula_closed":
-        geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-        ang = gbsm.AngularSpec(phi=phi, sigma_phi=np.radians(cfg.sigma_phi_deg),
-                               beta=cfg.beta)
-        return gbsm.gaussian_ula_closed(geom, ang)
-    if cfg.model == "gaussian_ula_shadowed":
-        geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-        ang = gbsm.AngularSpec(phi=phi, sigma_phi=np.radians(cfg.sigma_phi_deg),
-                               beta=cfg.beta, sigma_shad=cfg.sigma_shad,
-                               num_scatterers=cfg.num_scatterers)
-        f = cbsm.draw_shadowing(cfg.m, cfg.sigma_shad, rng)
-        if cfg.num_scatterers == 1:
-            angles = np.array([phi])
-        else:
-            angles = gbsm.draw_scatterer_angles(cfg.num_scatterers, rng)
-        return gbsm.gaussian_ula_shadowed(geom, ang, f, angles)
-    if cfg.model == "onering_upa":
-        geom = _upa_geometry(cfg)
-        ang = gbsm.AngularSpec(phi=phi, theta=theta,
-                               delta_phi=np.radians(cfg.delta_deg),
-                               delta_theta=np.radians(cfg.delta_theta_deg),
-                               beta=cfg.beta)
-        spread = max(ang.delta_phi, ang.delta_theta)
-        quad = _quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
-        return gbsm.onering_upa(geom, ang, quad)
-    if cfg.model == "gaussian_upa":
-        geom = _upa_geometry(cfg)
-        ang = gbsm.AngularSpec(phi=phi, theta=theta,
-                               sigma_phi=np.radians(cfg.sigma_phi_deg),
-                               sigma_theta=np.radians(cfg.sigma_theta_deg),
-                               beta=cfg.beta)
-        spread = gbsm.DEFAULT_TRUNCATION * max(ang.sigma_phi, ang.sigma_theta)
-        quad = _quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
-        return gbsm.gaussian_upa(geom, ang, quad)
-    raise ConfigError(f"model '{cfg.model}' has no correlation matrix")
-
-
-def xl_sinr_noise_power(cfg: ExperimentConfig) -> float:
-    """Noise power pinned to the path-loss reference so SNR means received SNR."""
-    eta = metrics.db_to_linear(cfg.snr_db)
-    l0_db = xlmimo.PathlossParams().l0_db
-    return cfg.total_power / eta * 10.0 ** (l0_db / 10.0)
-
-
-def _xl_scenario(cfg: ExperimentConfig, rng: np.random.Generator) -> xlmimo.XlScenario:
-    scheme = xlmimo.ClusterScheme(kind=cfg.xl_scheme, d1=cfg.d1, d2=cfg.d2)
-    corr = xlmimo.ClusterCorrelation(kind=cfg.xl_correlation, rho=cfg.rho,
-                                     delta=np.radians(cfg.delta_deg))
-    geom = gbsm.UlaGeometry(m=cfg.m, d_h=xlmimo.VR_SPACING_WAVELENGTHS)
-    return xlmimo.build_scenario(scheme, cfg.num_users, cfg.clusters_per_user, rng,
-                                 geometry=geom, correlation=corr,
-                                 r_bounds=(cfg.r_min, cfg.r_max),
-                                 p0=cfg.p0, p1=cfg.p1, c=cfg.c)
-
-
-def _xl_trial(cfg: ExperimentConfig, rng: np.random.Generator,
-              scenario: xlmimo.XlScenario | None = None) -> float:
-    scen = scenario if scenario is not None else _xl_scenario(cfg, rng)
-    h = xlmimo.assemble_channel_matrix(scen, rng)
-    pre = precoding.cb_precoder(h) if cfg.precoder == "cb" else precoding.zf_precoder(h)
-    alloc = precoding.PowerAllocation.equal(cfg.num_users, cfg.total_power)
-    w = precoding.normalize_columns(pre, alloc, cfg.power_convention)
-    gam = metrics.sinr_per_user(h, w, xl_sinr_noise_power(cfg))
-    return float(gam.mean())
-
-
 def trial_value(cfg: ExperimentConfig, rng: np.random.Generator,
                 scenario: xlmimo.XlScenario | None = None) -> float:
     """One Monte Carlo realization of the configured metric.
@@ -155,44 +38,7 @@ def trial_value(cfg: ExperimentConfig, rng: np.random.Generator,
     ``scenario`` carries pre-drawn XL geometry when freeze_geometry is on;
     everything else ignores it.
     """
-    eta = metrics.db_to_linear(cfg.snr_db)
-    if cfg.metric == "capacity_ub":
-        return metrics.capacity_ub(build_correlation(cfg, rng), eta, cfg.m)
-    if cfg.metric == "ergodic_capacity":
-        if cfg.model == "iid":
-            h = complex_gaussian(cfg.m, rng) * np.sqrt(cfg.beta)
-        else:
-            h = sample_correlated(psd_sqrt(build_correlation(cfg, rng)), rng)
-        return metrics.capacity_single(h, eta, cfg.m)
-    if cfg.metric == "condition_number":
-        return condition_number(build_correlation(cfg, rng))
-    if cfg.metric == "svd_spectrum":
-        lam = psd_eigvals(build_correlation(cfg, rng))
-        if not 0 <= cfg.svd_index < lam.size:
-            raise ConfigError(f"svd_index {cfg.svd_index} outside 0..{lam.size - 1}")
-        return float(lam[cfg.svd_index])
-    if cfg.metric == "corr_coeff":
-        if cfg.model == "iid":
-            h_i = complex_gaussian(cfg.m, rng)
-            h_j = complex_gaussian(cfg.m, rng)
-        else:
-            s = psd_sqrt(build_correlation(cfg, rng))
-            h_i = sample_correlated(s, rng)
-            h_j = sample_correlated(s, rng)
-        return metrics.correlation_coefficient(h_i, h_j)
-    if cfg.metric == "sinr":
-        return _xl_trial(cfg, rng, scenario)
-    if cfg.metric == "vr_stats":
-        mask = xlmimo.vr_mask_chain(cfg.vr_antennas, cfg.p0, cfg.p1, cfg.c, rng)
-        return float(mask.mean())
-    raise ConfigError(f"unknown metric '{cfg.metric}'")
-
-
-def _point_assignments(cfg: ExperimentConfig):
-    specs = (cfg.sweep,) + cfg.curves
-    names = [s.param for s in specs]
-    for combo in itertools.product(*(s.grid for s in specs)):
-        yield dict(zip(names, combo))
+    return METRICS[cfg.metric].trial(cfg, rng, scenario)
 
 
 def _run_point(args):
@@ -201,8 +47,8 @@ def _run_point(args):
     vals = np.empty(cfg.trials)
     try:
         scenario = None
-        if point_cfg.freeze_geometry and point_cfg.metric == "sinr":
-            scenario = _xl_scenario(point_cfg, np.random.default_rng([cfg.seed, index]))
+        if point_cfg.freeze_geometry and METRICS[point_cfg.metric].scenario:
+            scenario = xl_scenario(point_cfg, np.random.default_rng([cfg.seed, index]))
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, index, t])
             vals[t] = trial_value(point_cfg, rng, scenario)
@@ -214,18 +60,16 @@ def _run_point(args):
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute all sweep points and aggregate per-point trial statistics."""
-    assignments = list(_point_assignments(cfg))
+    specs = (cfg.sweep,) + cfg.curves
+    names = [s.param for s in specs]
+    assignments = [dict(zip(names, combo))
+                   for combo in itertools.product(*(s.grid for s in specs))]
     tasks = [(cfg, i, a) for i, a in enumerate(assignments)]
-    stats: list = [None] * len(tasks)
     if cfg.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for index, st in pool.map(_run_point, tasks):
-                stats[index] = st
+            stats = dict(pool.map(_run_point, tasks))
     else:
-        for task in tasks:
-            index, st = _run_point(task)
-            stats[index] = st
-    names = [cfg.sweep.param] + [c.param for c in cfg.curves]
+        stats = dict(_run_point(task) for task in tasks)
     columns = tuple(names + ["mean", "stderr", "min", "max"])
     rows = tuple(
         tuple(a[n] for n in names) + stats[i]
@@ -242,15 +86,20 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
+def format_csv(result: RunResult) -> str:
+    """The result as CSV text with 12 significant digits: header, then one row per point."""
+    lines = [",".join(result.columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
+    return "\n".join(lines) + "\n"
+
+
 def emit_csv(result: RunResult, path) -> str:
     """Write the result as CSV plus a config manifest sidecar.
 
-    Numbers use 12 significant digits; the manifest (``<path>.manifest``)
+    The CSV is :func:`format_csv`'s text; the manifest (``<path>.manifest``)
     is a config document that parses back to the run's configuration.
     """
-    lines = [",".join(result.columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
-    text = "\n".join(lines) + "\n"
+    text = format_csv(result)
     manifest_path = str(path) + ".manifest"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

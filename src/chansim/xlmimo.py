@@ -145,27 +145,6 @@ def vr_mask_chain(m_vr: int, p0: float, p1: float, c: float,
     return mask
 
 
-def generate_vr(m: int, wavelength: float, r_bounds: tuple[float, float],
-                p0: float, p1: float, c: float,
-                rng: np.random.Generator) -> tuple[float, np.ndarray]:
-    """Draw a cluster radius and its visibility mask.
-
-    The VR length is twice the radius; the array length uses the fixed
-    5-wavelength element spacing of the reference scenario.  When the VR
-    would cover more than M antennas the mask is truncated to M.
-    """
-    r_min, r_max = r_bounds
-    if not 0 < r_min <= r_max:
-        raise InvalidParam(f"invalid radius bounds {r_bounds}")
-    radius = rng.uniform(r_min, r_max)
-    l_vr = 2.0 * radius
-    d_h = VR_SPACING_WAVELENGTHS * wavelength
-    l_bs = (m - 1) * d_h
-    m_vr = int(np.ceil(m * l_vr / l_bs))
-    mask = vr_mask_chain(min(m_vr, m), p0, p1, c, rng)
-    return radius, mask
-
-
 def place_clusters(scheme: ClusterScheme, users: np.ndarray, clusters_per_user: int,
                    r_bounds: tuple[float, float], rng: np.random.Generator,
                    array_length: float) -> list[list[tuple[np.ndarray, float]]]:

@@ -62,6 +62,19 @@ def test_run_stdout_and_overrides(tmp_path):
     assert proc.stdout.startswith("rho,")
 
 
+def test_run_stdout_equals_out_file(tmp_path):
+    cfg = tmp_path / "c.txt"
+    # random draws, so the mean/stderr/min/max columns carry 12-digit values
+    text = CONFIG.replace("model = exponential", "model = uncorrelated")
+    cfg.write_text(text.replace("trials = 1", "trials = 3") + "model.sigma_shad = 3\n")
+    out = tmp_path / "o.csv"
+    to_file = run_cli("run", "--config", str(cfg), "--out", str(out))
+    to_stdout = subprocess.run([sys.executable, "-m", "chansim.cli", "run",
+                                "--config", str(cfg)], capture_output=True)
+    assert to_file.returncode == 0 and to_stdout.returncode == 0
+    assert to_stdout.stdout == out.read_bytes()
+
+
 def test_bad_config_exit_2(tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text(CONFIG + "bogus_key = 1\n")

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chansim.config import SweepSpec, parse_config
+from chansim.config import ExperimentConfig, SweepSpec, parse_config
 from chansim.errors import IoError, RankDeficient
 from chansim.presets import preset
-from chansim.runner import RunResult, build_correlation, emit_csv, run_experiment
+from chansim.registry import METRICS, MODELS
+from chansim.runner import (RunResult, build_correlation, emit_csv, run_experiment,
+                            trial_value)
 from chansim.metrics import db_to_linear
 
 SMALL = """
@@ -99,14 +101,25 @@ sweep.grid = 20
 
 def test_build_correlation_models():
     rng = np.random.default_rng(0)
-    for model in ("exponential", "uncorrelated", "exponential_shadow",
-                  "onering_ula", "gaussian_ula", "gaussian_ula_closed",
-                  "gaussian_ula_shadowed", "iid"):
+    for model, entry in MODELS.items():
+        if entry.build is None:
+            continue
         cfg = parse_config(SMALL.replace("exponential", model, 1))
         cfg = dataclasses.replace(cfg, m=16, sigma_shad=2.0)
         r = build_correlation(cfg, rng)
         assert r.shape == (16, 16)
         assert np.abs(r - np.asarray(r).conj().T).max() <= 1e-12 * np.abs(r).max()
+
+
+def test_one_trial_of_every_model_metric_pair():
+    pairs = [(model, metric) for model in MODELS for metric in METRICS
+             if MODELS[model].family == METRICS[metric].family]
+    assert len(pairs) == 10 * 5 + 2
+    for model, metric in pairs:
+        cfg = ExperimentConfig(model=model, metric=metric, m=16, sigma_shad=2.0,
+                               num_users=4, sweep=SweepSpec("m", (16,)))
+        value = trial_value(cfg, np.random.default_rng(0))
+        assert isinstance(value, float) and not np.isnan(value), (model, metric)
 
 
 def test_build_correlation_upa_square_m():

@@ -6,7 +6,7 @@ from chansim.gbsm import UlaGeometry
 from chansim.xlmimo import (Cluster, ClusterCorrelation, ClusterScheme,
                             PathlossParams, antenna_positions,
                             assemble_channel_matrix, build_scenario,
-                            cluster_channel, generate_vr, pathloss_per_antenna,
+                            cluster_channel, pathloss_per_antenna,
                             place_clusters, position_vr, rayleigh_distance,
                             user_channel, vr_mask_chain)
 
@@ -83,18 +83,27 @@ def test_vr_mask_binary():
     assert set(np.unique(mask)) <= {0, 1}
 
 
-def test_generate_vr_span_size():
+def _all_clusters(scen):
+    return [cl for per_user in scen.clusters for cl in per_user]
+
+
+def test_build_scenario_vr_span_size():
     rng = np.random.default_rng(5)
-    radius, mask = generate_vr(100, WAVELENGTH, (5.0, 5.0), 0.05, 0.95, 0.05, rng)
+    scen = build_scenario(ClusterScheme(kind="scheme1"), 3, 2, rng,
+                          geometry=xl_geometry(100), r_bounds=(5.0, 5.0))
     # L_VR = 10, L_BS = 61.875 -> M_VR = ceil(100 * 10 / 61.875) = 17
-    assert radius == 5.0
-    assert len(mask) == 17
+    clusters = _all_clusters(scen)
+    assert len(clusters) == 6
+    assert all(cl.radius == 5.0 for cl in clusters)
+    assert all(len(cl.vr_mask) == 17 for cl in clusters)
 
 
-def test_generate_vr_truncated_to_m():
+def test_build_scenario_vr_truncated_to_m():
     rng = np.random.default_rng(6)
-    _, mask = generate_vr(10, WAVELENGTH, (50.0, 50.0), 0.05, 0.95, 0.05, rng)
-    assert len(mask) == 10
+    scen = build_scenario(ClusterScheme(kind="scheme2"), 3, 2, rng,
+                          geometry=xl_geometry(10), r_bounds=(50.0, 50.0))
+    # L_VR = 100 spans far more than the L_BS = 5.625 array: M_VR = 178 -> 10
+    assert all(len(cl.vr_mask) == 10 and cl.vr_lo == 0 for cl in _all_clusters(scen))
 
 
 def test_position_vr_centered():
