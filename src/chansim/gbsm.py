@@ -230,7 +230,8 @@ def gaussian_ula_shadowed(geom: UlaGeometry, ang: AngularSpec, f: np.ndarray,
         damp = np.exp(-(ang.sigma_phi**2 / 2.0)
                       * (2.0 * np.pi * geom.d_h * diff * np.cos(phi_s)) ** 2)
         acc += phase * damp
-    shad = 10.0 ** ((f[:, None] + f[None, :]) / 10.0)
+    # Without shadowing every entry of the M x M power is exactly 1; skip it.
+    shad = 10.0 ** ((f[:, None] + f[None, :]) / 10.0) if np.any(f) else 1.0
     return ang.beta * shad * acc / phis.size
 
 

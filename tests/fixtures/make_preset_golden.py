@@ -2,10 +2,13 @@
 
 Each preset runs at no more than 2 trials, on the first two values of its
 sweep grid and of its first curve grid and the first value of any other
-curve grid.  The fixture pins the bytes that ``run_experiment`` and
+curve grid.  The fixture holds the bytes that ``run_experiment`` and
 ``emit_csv`` produce for these configs, so a change to a model, a metric,
 the output format or the consumption of the random stream shows up as a
-diff of this file.  Regenerate only for such a deliberate change, and say
+diff of this file.  ``tests/test_golden.py`` compares the manifest, the
+header and the grid columns exactly and the statistics to a relative
+tolerance, because their last digits depend on the BLAS build and its
+thread count.  Regenerate only for such a deliberate change, and say
 why in the change's notes.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/fixtures/make_preset_golden.py
