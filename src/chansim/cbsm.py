@@ -19,15 +19,15 @@ from .errors import InvalidParam
 class ExponentialSpec:
     """Parameters of the exponential-correlation family.
 
-    ``theta`` (AoA, radians) and ``sigma_shad`` (dB) are only used by the
-    shadowed variant; ``beta`` is the linear path-loss power gain.
+    ``theta`` (AoA, radians) is only used by the shadowed variant, which
+    takes the drawn shadow vector as an argument; ``beta`` is the linear
+    path-loss power gain.
     """
 
     m: int
     rho: float
     theta: float = 0.0
     beta: float = 1.0
-    sigma_shad: float = 0.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -36,8 +36,6 @@ class ExponentialSpec:
             raise InvalidParam(f"correlation factor must be in [0, 1], got {self.rho}")
         if self.beta < 0:
             raise InvalidParam(f"path-loss gain must be >= 0, got {self.beta}")
-        if self.sigma_shad < 0:
-            raise InvalidParam(f"shadowing std must be >= 0, got {self.sigma_shad}")
 
 
 def exponential_correlation(spec: ExponentialSpec) -> np.ndarray:

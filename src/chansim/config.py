@@ -33,6 +33,11 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep parameter '{self.param}'")
         if len(self.grid) == 0:
             raise ConfigError(f"empty grid for sweep parameter '{self.param}'")
+        default = ExperimentConfig.__dataclass_fields__[SWEEPABLE[self.param]].default
+        for value in self.grid:
+            if isinstance(default, (int, float)) and isinstance(value, str):
+                raise ConfigError(
+                    f"sweep parameter '{self.param}' expects numbers, got '{value}'")
 
 
 def _key(key: str, default=dataclasses.MISSING, sweep: str | None = None):
@@ -110,6 +115,11 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.sigma_shad < 0:
+            raise ConfigError(f"model.sigma_shad must be >= 0, got {self.sigma_shad}")
+        if self.num_scatterers < 1:
+            raise ConfigError(
+                f"model.num_scatterers must be >= 1, got {self.num_scatterers}")
         if len(self.curves) > 3:
             raise ConfigError("at most 3 curve parameters are supported")
         if self.xl_scheme not in ("scheme1", "scheme2"):

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import InvalidParam, QuadratureWarning, ValidityWarning
 
 DEFAULT_NODES = 201
-DEFAULT_TRUNCATION = 6.0
+# Gaussian scattering integrals are truncated at +/- this many sigmas.
+GAUSSIAN_TRUNCATION = 6.0
 
 # Validity bound of the closed-form Gaussian correlation (radians).
 CLOSED_FORM_MAX_ASD = np.radians(15.0)
@@ -68,8 +69,9 @@ class AngularSpec:
     ``phi`` / ``theta`` are the nominal azimuth / elevation AoA.  Uniform
     spreads use the half-widths ``delta_phi`` / ``delta_theta``; Gaussian
     scattering uses the angular standard deviations ``sigma_phi`` /
-    ``sigma_theta``.  ``num_scatterers`` only matters for the shadowed
-    Gaussian model.
+    ``sigma_theta``.  Shadowing and scatterer directions are not part of
+    the spec: the shadowed Gaussian model takes the drawn shadow vector
+    and scatterer angles as arguments.
     """
 
     phi: float = 0.0
@@ -79,8 +81,6 @@ class AngularSpec:
     sigma_phi: float = 0.0
     sigma_theta: float = 0.0
     beta: float = 1.0
-    sigma_shad: float = 0.0
-    num_scatterers: int = 1
 
     def __post_init__(self):
         for name in ("delta_phi", "delta_theta", "sigma_phi", "sigma_theta"):
@@ -88,26 +88,21 @@ class AngularSpec:
                 raise InvalidParam(f"{name} must be >= 0")
         if self.beta < 0:
             raise InvalidParam(f"beta must be >= 0, got {self.beta}")
-        if self.sigma_shad < 0:
-            raise InvalidParam(f"sigma_shad must be >= 0, got {self.sigma_shad}")
-        if self.num_scatterers < 1:
-            raise InvalidParam(f"num_scatterers must be >= 1, got {self.num_scatterers}")
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss-Legendre node count per dimension and Gaussian truncation (in sigmas)."""
+    """Gauss-Legendre node count per dimension.
+
+    Gaussian models integrate over +/- ``GAUSSIAN_TRUNCATION`` (6) sigmas
+    per dimension; the node count is sized for that window.
+    """
 
     nodes_per_dim: int = DEFAULT_NODES
-    gaussian_truncation: float = DEFAULT_TRUNCATION
 
     def __post_init__(self):
         if self.nodes_per_dim < 3:
             raise InvalidParam(f"nodes_per_dim must be >= 3, got {self.nodes_per_dim}")
-        if self.gaussian_truncation < 3:
-            raise InvalidParam(
-                f"gaussian_truncation must be >= 3, got {self.gaussian_truncation}"
-            )
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -160,7 +155,7 @@ def onering_ula(geom: UlaGeometry, ang: AngularSpec,
 
 def _truncated_gaussian_nodes(sigma: float, quad: QuadratureConfig):
     x, w = _leggauss(quad.nodes_per_dim)
-    half = quad.gaussian_truncation * sigma
+    half = GAUSSIAN_TRUNCATION * sigma
     delta = half * x
     pdf = np.exp(-delta**2 / (2.0 * sigma**2))
     weights = w * pdf
@@ -171,12 +166,12 @@ def gaussian_ula_numeric(geom: UlaGeometry, ang: AngularSpec,
                          quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """Gaussian local scattering for a ULA, by quadrature of the angular integral.
 
-    The infinite integral is truncated at +/- truncation * sigma and the
-    weights renormalized, so the diagonal equals beta exactly.
+    The infinite integral is truncated at +/- GAUSSIAN_TRUNCATION * sigma
+    and the weights renormalized, so the diagonal equals beta exactly.
     """
     if ang.sigma_phi == 0:
         return _ula_from_angles(geom, np.array([ang.phi]), np.array([1.0]), ang.beta)
-    _warn_if_coarse(quad.nodes_per_dim, quad.gaussian_truncation * ang.sigma_phi,
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * ang.sigma_phi,
                     geom.d_h, geom.m)
     delta, weights = _truncated_gaussian_nodes(ang.sigma_phi, quad)
     return _ula_from_angles(geom, ang.phi + delta, weights, ang.beta)
@@ -235,12 +230,11 @@ def gaussian_ula_shadowed(geom: UlaGeometry, ang: AngularSpec, f: np.ndarray,
     return ang.beta * shad * acc / phis.size
 
 
-def draw_scatterer_angles(s: int, rng: np.random.Generator,
-                          interval: tuple[float, float] = (0.0, 2.0 * np.pi)) -> np.ndarray:
-    """S scatterer nominal angles, uniform over ``interval`` (drawn once per trial)."""
+def draw_scatterer_angles(s: int, rng: np.random.Generator) -> np.ndarray:
+    """S scatterer nominal angles, uniform over [0, 2 pi) (drawn once per trial)."""
     if s < 1:
         raise InvalidParam(f"need s >= 1 scatterers, got {s}")
-    return rng.uniform(interval[0], interval[1], size=s)
+    return rng.uniform(0.0, 2.0 * np.pi, size=s)
 
 
 def upa_antenna_index(geom: UpaGeometry, m: int) -> tuple[int, int]:
@@ -296,13 +290,13 @@ def gaussian_upa(geom: UpaGeometry, ang: AngularSpec,
 
     Uses the standard Gaussian kernel exp(-delta^2 / 2 sigma^2) on each axis
     (the decaying-exponent convention, matching the 2-D Gaussian model),
-    truncated at +/- truncation * sigma per axis and renormalized.
+    truncated at +/- GAUSSIAN_TRUNCATION * sigma per axis and renormalized.
     """
     if ang.sigma_phi <= 0 or ang.sigma_theta <= 0:
         raise InvalidParam("UPA Gaussian model needs sigma_phi > 0 and sigma_theta > 0")
-    _warn_if_coarse(quad.nodes_per_dim, quad.gaussian_truncation * ang.sigma_phi,
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * ang.sigma_phi,
                     geom.d_h, geom.m_h)
-    _warn_if_coarse(quad.nodes_per_dim, quad.gaussian_truncation * ang.sigma_theta,
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * ang.sigma_theta,
                     geom.d_v, geom.m_v)
     d_az, w_az = _truncated_gaussian_nodes(ang.sigma_phi, quad)
     d_el, w_el = _truncated_gaussian_nodes(ang.sigma_theta, quad)

@@ -79,8 +79,7 @@ def _uncorrelated(cfg, rng):
 
 def _exponential_shadow(cfg, rng):
     spec = cbsm.ExponentialSpec(m=cfg.m, rho=cfg.rho,
-                                theta=np.radians(cfg.theta_deg),
-                                beta=cfg.beta, sigma_shad=cfg.sigma_shad)
+                                theta=np.radians(cfg.theta_deg), beta=cfg.beta)
     f = cbsm.draw_shadowing(cfg.m, cfg.sigma_shad, rng)
     return cbsm.exponential_with_shadowing(spec, f)
 
@@ -94,7 +93,7 @@ def _onering_ula(cfg, rng):
 def _gaussian_ula(cfg, rng):
     geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
     ang = _angles(cfg, sigma_phi=cfg.sigma_phi_deg)
-    quad = _quadrature(gbsm.DEFAULT_TRUNCATION * ang.sigma_phi, cfg.d_h, cfg.m)
+    quad = _quadrature(gbsm.GAUSSIAN_TRUNCATION * ang.sigma_phi, cfg.d_h, cfg.m)
     return gbsm.gaussian_ula_numeric(geom, ang, quad)
 
 
@@ -105,9 +104,7 @@ def _gaussian_ula_closed(cfg, rng):
 
 def _gaussian_ula_shadowed(cfg, rng):
     geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-    ang = gbsm.AngularSpec(phi=np.radians(cfg.phi_deg),
-                           sigma_phi=np.radians(cfg.sigma_phi_deg), beta=cfg.beta,
-                           sigma_shad=cfg.sigma_shad, num_scatterers=cfg.num_scatterers)
+    ang = _angles(cfg, sigma_phi=cfg.sigma_phi_deg)
     f = cbsm.draw_shadowing(cfg.m, cfg.sigma_shad, rng)
     if cfg.num_scatterers == 1:
         angles = np.array([ang.phi])
@@ -129,7 +126,7 @@ def _gaussian_upa(cfg, rng):
     geom = _upa_geometry(cfg)
     ang = _angles(cfg, theta=cfg.theta_el_deg, sigma_phi=cfg.sigma_phi_deg,
                   sigma_theta=cfg.sigma_theta_deg)
-    spread = gbsm.DEFAULT_TRUNCATION * max(ang.sigma_phi, ang.sigma_theta)
+    spread = gbsm.GAUSSIAN_TRUNCATION * max(ang.sigma_phi, ang.sigma_theta)
     quad = _quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
     return gbsm.gaussian_upa(geom, ang, quad)
 

@@ -24,10 +24,11 @@ from .errors import InvalidParam
 from .gbsm import AngularSpec, QuadratureConfig, UlaGeometry, onering_ula
 from .linalg import psd_sqrt, complex_gaussian
 
-# Table-driven defaults for the reference scenario.
+# Fixed values of the reference XL scenario.
 DEFAULT_WAVELENGTH = 0.125           # meters (2.4 GHz carrier)
 VR_SPACING_WAVELENGTHS = 5.0         # d_H used by the VR construction
 DEFAULT_USER_DISTANCE = 40.0         # meters, broadside
+SCHEME1_ARC = (-np.pi / 3.0, np.pi / 3.0)   # scheme-1 azimuths, radians about broadside
 
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
@@ -48,25 +49,21 @@ class ClusterScheme:
     """Cluster placement rule.
 
     Scheme 1 puts every cluster at distance ``d1`` from the array center,
-    with azimuth uniform over ``azimuth_arc`` (radians about broadside).
-    Scheme 2 puts clusters on a line parallel to the array at perpendicular
-    distance ``d2``, horizontal coordinate uniform over ``horizontal_span``
-    (meters); a span of ``None`` defaults to the array extent.
+    with azimuth uniform over ``SCHEME1_ARC``, +/-60 degrees about
+    broadside.  Scheme 2 puts clusters on a line parallel to the array at
+    perpendicular distance ``d2``, horizontal coordinate uniform over the
+    array extent.
     """
 
     kind: str
     d1: float = 35.0
     d2: float = 20.0
-    azimuth_arc: tuple[float, float] = (-np.pi / 3.0, np.pi / 3.0)
-    horizontal_span: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in ("scheme1", "scheme2"):
             raise InvalidParam(f"unknown cluster scheme {self.kind!r}")
         if self.d1 <= 0 or self.d2 <= 0:
             raise InvalidParam("cluster distances must be > 0")
-        if self.azimuth_arc[1] <= self.azimuth_arc[0]:
-            raise InvalidParam("azimuth arc must be a nonempty interval")
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def vr_mask_chain(m_vr: int, p0: float, p1: float, c: float,
     return mask
 
 
-def place_clusters(scheme: ClusterScheme, users: np.ndarray, clusters_per_user: int,
+def place_clusters(scheme: ClusterScheme, num_users: int, clusters_per_user: int,
                    r_bounds: tuple[float, float], rng: np.random.Generator,
                    array_length: float) -> list[list[tuple[np.ndarray, float]]]:
     """Cluster centers and radii for each user, without visibility data.
@@ -158,17 +155,16 @@ def place_clusters(scheme: ClusterScheme, users: np.ndarray, clusters_per_user: 
     r_min, r_max = r_bounds
     if not 0 < r_min <= r_max:
         raise InvalidParam(f"invalid radius bounds {r_bounds}")
-    users = np.atleast_2d(np.asarray(users, dtype=float))
     out = []
-    for _ in range(len(users)):
+    for _ in range(num_users):
         per_user = []
         for _ in range(clusters_per_user):
             if scheme.kind == "scheme1":
-                az = rng.uniform(*scheme.azimuth_arc)
+                az = rng.uniform(*SCHEME1_ARC)
                 center = np.array([scheme.d1 * np.sin(az), scheme.d1 * np.cos(az)])
             else:
-                span = scheme.horizontal_span or (-array_length / 2.0, array_length / 2.0)
-                center = np.array([rng.uniform(*span), scheme.d2])
+                x = rng.uniform(-array_length / 2.0, array_length / 2.0)
+                center = np.array([x, scheme.d2])
             per_user.append((center, rng.uniform(r_min, r_max)))
         out.append(per_user)
     return out
@@ -214,21 +210,26 @@ def pathloss_per_antenna(cluster: Cluster, user: np.ndarray, geom: UlaGeometry,
     return amp
 
 
+# Antenna spacing (wavelengths) inside the cluster correlation model: the
+# stationary-model value 0.5, kept even though the physical XL array is
+# 5-wavelength spaced, since the correlation matrices are built like the
+# stationary case.
+CLUSTER_CORR_SPACING = 0.5
+CLUSTER_CORR_QUADRATURE = QuadratureConfig(nodes_per_dim=101)
+
+
 @dataclass(frozen=True)
 class ClusterCorrelation:
     """Correlation model applied to each cluster's small-scale fading.
 
-    ``spacing`` is the antenna spacing (wavelengths) used inside the
-    correlation model; the stationary-model value 0.5 is kept as default
-    even though the physical XL array is 5-wavelength spaced, since the
-    correlation matrices are built like the stationary case.
+    The one-ring model is built on a ULA of 0.5-wavelength spacing
+    (``CLUSTER_CORR_SPACING``) with 101 quadrature nodes
+    (``CLUSTER_CORR_QUADRATURE``).
     """
 
     kind: str = "uncorrelated"   # uncorrelated | exponential | onering
     rho: float = 0.5
     delta: float = np.radians(10.0)
-    spacing: float = 0.5
-    nodes: int = 101
 
     def __post_init__(self):
         if self.kind not in ("uncorrelated", "exponential", "onering"):
@@ -244,7 +245,6 @@ class XlScenario:
     clusters: list[list[Cluster]]           # per user
     pathloss: PathlossParams = field(default_factory=PathlossParams)
     correlation: ClusterCorrelation = field(default_factory=ClusterCorrelation)
-    wavelength: float = DEFAULT_WAVELENGTH
 
     @property
     def num_users(self) -> int:
@@ -254,22 +254,20 @@ class XlScenario:
 def build_scenario(scheme: ClusterScheme, num_users: int, clusters_per_user: int,
                    rng: np.random.Generator,
                    geometry: UlaGeometry | None = None,
-                   pathloss: PathlossParams | None = None,
                    correlation: ClusterCorrelation | None = None,
                    r_bounds: tuple[float, float] = (5.0, 10.0),
-                   p0: float = 0.05, p1: float = 0.95, c: float = 0.05,
-                   wavelength: float = DEFAULT_WAVELENGTH,
-                   user_positions: np.ndarray | None = None) -> XlScenario:
-    """Draw one complete scenario: cluster placement, radii, VR masks, spans."""
+                   p0: float = 0.05, p1: float = 0.95, c: float = 0.05) -> XlScenario:
+    """Draw one complete scenario: cluster placement, radii, VR masks, spans.
+
+    The carrier wavelength is ``DEFAULT_WAVELENGTH`` (0.125 m, 2.4 GHz),
+    every user sits ``DEFAULT_USER_DISTANCE`` (40 m) out on broadside, and
+    path loss is ``PathlossParams()``.
+    """
     geometry = geometry or UlaGeometry(m=100, d_h=VR_SPACING_WAVELENGTHS)
-    pathloss = pathloss or PathlossParams()
     correlation = correlation or ClusterCorrelation()
-    if user_positions is None:
-        users = np.tile([0.0, DEFAULT_USER_DISTANCE], (num_users, 1))
-    else:
-        users = np.atleast_2d(np.asarray(user_positions, dtype=float))
-    l_bs = (geometry.m - 1) * geometry.d_h * wavelength
-    placed = place_clusters(scheme, users, clusters_per_user, r_bounds, rng, l_bs)
+    users = np.tile([0.0, DEFAULT_USER_DISTANCE], (num_users, 1))
+    l_bs = (geometry.m - 1) * geometry.d_h * DEFAULT_WAVELENGTH
+    placed = place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, l_bs)
     clusters: list[list[Cluster]] = []
     for per_user in placed:
         row = []
@@ -277,12 +275,11 @@ def build_scenario(scheme: ClusterScheme, num_users: int, clusters_per_user: int
             m_vr = int(np.ceil(geometry.m * 2.0 * radius / l_bs))
             m_vr = min(m_vr, geometry.m)
             mask = vr_mask_chain(m_vr, p0, p1, c, rng)
-            lo = position_vr(center, m_vr, geometry, wavelength)
+            lo = position_vr(center, m_vr, geometry, DEFAULT_WAVELENGTH)
             row.append(Cluster(center=center, radius=radius, vr_mask=mask, vr_lo=lo))
         clusters.append(row)
     return XlScenario(geometry=geometry, users=users, clusters=clusters,
-                      pathloss=pathloss, correlation=correlation,
-                      wavelength=wavelength)
+                      correlation=correlation)
 
 
 def cluster_correlation_matrix(scenario: XlScenario, cluster: Cluster) -> np.ndarray | None:
@@ -293,12 +290,12 @@ def cluster_correlation_matrix(scenario: XlScenario, cluster: Cluster) -> np.nda
         return None
     if spec.kind == "exponential":
         return exponential_correlation(ExponentialSpec(m=m, rho=spec.rho))
-    positions = antenna_positions(scenario.geometry, scenario.wavelength)
+    positions = antenna_positions(scenario.geometry, DEFAULT_WAVELENGTH)
     vr_center = positions[cluster.vr_center_antenna]
     phi = np.arctan2(cluster.center[0] - vr_center, cluster.center[1])
-    geom = UlaGeometry(m=m, d_h=spec.spacing)
+    geom = UlaGeometry(m=m, d_h=CLUSTER_CORR_SPACING)
     ang = AngularSpec(phi=phi, delta_phi=spec.delta)
-    return onering_ula(geom, ang, QuadratureConfig(nodes_per_dim=spec.nodes))
+    return onering_ula(geom, ang, CLUSTER_CORR_QUADRATURE)
 
 
 def cluster_channel(beta: np.ndarray, r: np.ndarray | None,
@@ -319,7 +316,7 @@ def user_channel(scenario: XlScenario, k: int, rng: np.random.Generator) -> np.n
     h = np.zeros(scenario.geometry.m, dtype=complex)
     for cluster in scenario.clusters[k]:
         beta = pathloss_per_antenna(cluster, scenario.users[k], scenario.geometry,
-                                    scenario.pathloss, scenario.wavelength)
+                                    scenario.pathloss)
         r = cluster_correlation_matrix(scenario, cluster)
         h += cluster_channel(beta, r, rng)
     return h

@@ -234,10 +234,10 @@ def _random_correlation(kind, rng):
         m = int(rng.integers(2, 401))
         spec = cbsm.ExponentialSpec(m=m, rho=float(rng.uniform(0, 1)),
                                     theta=float(rng.uniform(0, 2 * np.pi)),
-                                    beta=float(rng.uniform(0.25, 4.0)),
-                                    sigma_shad=float(rng.uniform(0, 6)))
+                                    beta=float(rng.uniform(0.25, 4.0)))
+        sigma = float(rng.uniform(0, 6))
         return cbsm.exponential_with_shadowing(
-            spec, cbsm.draw_shadowing(m, spec.sigma_shad, rng))
+            spec, cbsm.draw_shadowing(m, sigma, rng))
     if kind == "uncorrelated":
         m = int(rng.integers(2, 401))
         sigma = float(rng.uniform(0, 6))
@@ -336,6 +336,7 @@ def _fig15_table():
     return table
 
 
+@pytest.mark.slow
 def test_criterion_10_xl_sinr_orderings():
     t = _fig15_table()
 

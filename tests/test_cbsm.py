@@ -99,7 +99,7 @@ def test_exponential_with_shadowing_reduction():
 def test_exponential_with_shadowing_diagonal():
     rng = np.random.default_rng(4)
     f = draw_shadowing(8, 4.0, rng)
-    spec = ExponentialSpec(m=8, rho=0.5, theta=np.pi / 2, beta=1.5, sigma_shad=4.0)
+    spec = ExponentialSpec(m=8, rho=0.5, theta=np.pi / 2, beta=1.5)
     r = exponential_with_shadowing(spec, f)
     assert np.allclose(np.diag(r).real, 1.5 * 10.0 ** (f / 10.0))
 
@@ -107,7 +107,7 @@ def test_exponential_with_shadowing_diagonal():
 def test_exponential_with_shadowing_hermitian():
     rng = np.random.default_rng(5)
     f = draw_shadowing(10, 4.0, rng)
-    spec = ExponentialSpec(m=10, rho=0.8, theta=1.1, sigma_shad=4.0)
+    spec = ExponentialSpec(m=10, rho=0.8, theta=1.1)
     r = exponential_with_shadowing(spec, f)
     assert np.abs(r - r.conj().T).max() <= 1e-12 * np.abs(r).max()
     psd_eigvals(r)  # no NotPSD
@@ -125,7 +125,7 @@ def test_shadowed_capacity_increases_with_m_near_full_correlation():
         acc = 0.0
         for _ in range(50):
             f = draw_shadowing(m, 4.0, rng)
-            spec = ExponentialSpec(m=m, rho=0.98, theta=np.pi / 2, sigma_shad=4.0)
+            spec = ExponentialSpec(m=m, rho=0.98, theta=np.pi / 2)
             acc += log2_det_ipm(exponential_with_shadowing(spec, f), eta / m)
         caps.append(acc / 50)
     assert caps[0] < caps[1] < caps[2]
@@ -135,7 +135,7 @@ def test_shadowed_capacity_increases_with_m_near_full_correlation():
     acc = 0.0
     for _ in range(50):
         f = draw_shadowing(100, 4.0, rng)
-        spec = ExponentialSpec(m=100, rho=1.0, theta=np.pi / 2, sigma_shad=4.0)
+        spec = ExponentialSpec(m=100, rho=1.0, theta=np.pi / 2)
         acc += log2_det_ipm(exponential_with_shadowing(spec, f), eta / 100)
     assert acc / 50 > plain
 

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 CONFIG = """
 model = exponential
 metric = capacity_ub
@@ -81,6 +83,30 @@ def test_bad_config_exit_2(tmp_path):
     proc = run_cli("run", "--config", str(cfg))
     assert proc.returncode == 2
     assert "bogus_key" in proc.stderr
+
+
+SHADOWED = """
+model = gaussian_ula_shadowed
+metric = capacity_ub
+trials = 1
+geometry.m = 8
+sweep.param = m
+sweep.grid = 8
+"""
+
+
+@pytest.mark.parametrize("text, named", [
+    (CONFIG.replace("0,0.5", "low,high"), "'rho'"),
+    (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "8,abc"), "'m'"),
+    (SHADOWED + "model.num_scatterers = 0\n", "model.num_scatterers"),
+    (SHADOWED + "model.sigma_shad = -1\n", "model.sigma_shad"),
+], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad"])
+def test_invalid_value_exit_2(tmp_path, text, named):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(text)
+    proc = run_cli("run", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert named in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_missing_config_exit_4():

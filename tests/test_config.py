@@ -112,6 +112,21 @@ def test_invalid_sweep_param():
         parse_config(MINIMAL.replace("sweep.param = rho", "sweep.param = bananas"))
 
 
+def test_non_numeric_grid_of_numeric_param_rejected():
+    with pytest.raises(ConfigError, match="'rho'.*'low'"):
+        parse_config(MINIMAL.replace("0:0.2:1", "low,high"))
+    with pytest.raises(ConfigError, match="'m'.*'abc'"):
+        parse_config(MINIMAL.replace("sweep.param = rho", "sweep.param = m")
+                     .replace("0:0.2:1", "8,abc"))
+
+
+def test_shadowing_and_scatterer_bounds():
+    with pytest.raises(ConfigError, match="model.sigma_shad"):
+        parse_config(MINIMAL + "model.sigma_shad = -1\n")
+    with pytest.raises(ConfigError, match="model.num_scatterers"):
+        parse_config(MINIMAL + "model.num_scatterers = 0\n")
+
+
 def test_trials_bounds():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL + "trials = 0\n")

@@ -129,7 +129,7 @@ def test_gaussian_shadowed_diagonal():
     rng = np.random.default_rng(0)
     f = rng.normal(0, 2, size=5)
     geom = UlaGeometry(m=5)
-    ang = AngularSpec(phi=0.0, sigma_phi=0.1, sigma_shad=2.0)
+    ang = AngularSpec(phi=0.0, sigma_phi=0.1)
     r = gaussian_ula_shadowed(geom, ang, f, np.array([0.0]))
     assert np.allclose(np.diag(r).real, 10.0 ** (2 * f / 10.0))
 
@@ -143,7 +143,7 @@ def test_gaussian_shadowed_capacity_gain():
     eta = 1e6
     caps = {0.0: [], 2.0: []}
     for sig in caps:
-        ang = AngularSpec(phi=np.pi / 6, sigma_phi=np.radians(10), sigma_shad=sig)
+        ang = AngularSpec(phi=np.pi / 6, sigma_phi=np.radians(10))
         for _ in range(20):
             f = sig * rng.standard_normal(100)
             r = gaussian_ula_shadowed(geom, ang, f, np.array([np.pi / 6]))

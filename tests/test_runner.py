@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from chansim import xlmimo
 from chansim.config import ExperimentConfig, SweepSpec, parse_config
 from chansim.errors import IoError, RankDeficient
 from chansim.presets import preset
@@ -120,6 +121,23 @@ def test_one_trial_of_every_model_metric_pair():
                                num_users=4, sweep=SweepSpec("m", (16,)))
         value = trial_value(cfg, np.random.default_rng(0))
         assert isinstance(value, float) and not np.isnan(value), (model, metric)
+
+
+@pytest.mark.parametrize("freeze, draws_per_point", [(1, 1), (0, 3)])
+def test_freeze_geometry_scenario_draws(monkeypatch, freeze, draws_per_point):
+    # one scenario per point when frozen, one per trial otherwise
+    calls = []
+    build = xlmimo.build_scenario
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(xlmimo, "build_scenario", counting)
+    cfg = ExperimentConfig(model="xl", metric="sinr", m=16, trials=3,
+                           freeze_geometry=freeze, sweep=SweepSpec("num_users", (1, 2)))
+    run_experiment(cfg)
+    assert len(calls) == 2 * draws_per_point
 
 
 def test_build_correlation_upa_square_m():

@@ -35,8 +35,7 @@ def test_antenna_positions_centered():
 def test_place_clusters_scheme1_distance():
     rng = np.random.default_rng(0)
     scheme = ClusterScheme(kind="scheme1", d1=35.0)
-    users = np.tile([0.0, 40.0], (5, 1))
-    placed = place_clusters(scheme, users, 2, (5.0, 10.0), rng, 61.875)
+    placed = place_clusters(scheme, 5, 2, (5.0, 10.0), rng, 61.875)
     assert sum(len(row) for row in placed) == 10
     for row in placed:
         for center, radius in row:
@@ -47,8 +46,7 @@ def test_place_clusters_scheme1_distance():
 def test_place_clusters_scheme2_line():
     rng = np.random.default_rng(1)
     scheme = ClusterScheme(kind="scheme2", d2=20.0)
-    users = np.tile([0.0, 40.0], (3, 1))
-    placed = place_clusters(scheme, users, 2, (5.0, 10.0), rng, 61.875)
+    placed = place_clusters(scheme, 3, 2, (5.0, 10.0), rng, 61.875)
     for row in placed:
         for center, _ in row:
             assert center[1] == 20.0
@@ -228,7 +226,7 @@ def test_user_channel_single_cluster():
     h = user_channel(scen, 0, rng1)
     cluster = scen.clusters[0][0]
     beta = pathloss_per_antenna(cluster, scen.users[0], scen.geometry,
-                                scen.pathloss, scen.wavelength)
+                                scen.pathloss)
     ref = cluster_channel(beta, None, rng2)
     assert np.allclose(h, ref)
 
