@@ -3,8 +3,10 @@
 Steering vectors and spatial correlation matrices for one-ring (uniform)
 and Gaussian local scattering, over uniform linear (2-D) and uniform planar
 (3-D) arrays.  Angular integrals are evaluated with Gauss-Legendre
-quadrature; every matrix is assembled as A diag(w) A^H with positive
-weights, so the output is Hermitian PSD by construction.
+quadrature.  Every matrix is the weighted sum A diag(w) A^H with positive
+weights, so the output is Hermitian PSD by construction.  The ULA builders
+form that product directly; the UPA builder takes the same sum once per
+grid-index lag and gathers the M x M matrix from the lag table.
 
 All angles are radians.  Degree-valued user input is converted at the
 configuration boundary, not here.
@@ -250,21 +252,40 @@ def upa_antenna_index(geom: UpaGeometry, m: int) -> tuple[int, int]:
 
 def _upa_from_angles(geom: UpaGeometry, az: np.ndarray, el: np.ndarray,
                      weights: np.ndarray, beta: float) -> np.ndarray:
-    """Assemble the UPA correlation from flattened angle grids (sum(w) == 1)."""
+    """Assemble beta * sum_ij W_ij a(az_i, el_j) a(az_i, el_j)^H from a lag table.
+
+    ``weights[i, j]`` belongs to the node (az[i], el[j]) and sums to 1.
+    Entry (m, n) depends only on the index lag (dy, dz) = (p_y - p_y',
+    p_z - p_z'), so the weighted sum is taken once per lag,
+
+        L[dy, dz] = sum_ij W_ij exp(2 pi i (d_H dy cos(el_j) sin(az_i)
+                                            + d_V dz sin(el_j))),
+
+    and gathered as R = L[p_y - p_y', p_z - p_z'].  That is the same sum
+    A diag(W) A^H, so R stays PSD by construction.  The azimuth sum costs
+    M_H * N_az * N_el exponentials, one N_az x N_el plane at a time;
+    L[-dy, -dz] = conj(L[dy, dz]) makes R exactly Hermitian.
+    """
+    m_h, m_v = geom.m_h, geom.m_v
+    # Horizontal phase of one unit lag at every node of the grid.
+    unit = 2.0 * np.pi * geom.d_h * np.outer(np.sin(az), np.cos(el))
+    s = np.empty((m_h, el.size), dtype=complex)
+    for dy in range(m_h):
+        s[dy] = np.sum(weights * np.exp(1j * dy * unit), axis=0)
+    dz = np.arange(-(m_v - 1), m_v)
+    e_z = np.exp(2j * np.pi * geom.d_v * dz[:, None] * np.sin(el)[None, :])
+    lag = np.empty((2 * m_h - 1, 2 * m_v - 1), dtype=complex)   # row m_h-1 is dy = 0
+    lag[m_h - 1:] = s @ e_z.T
+    lag[:m_h - 1] = lag[:m_h - 1:-1, ::-1].conj()
+    # Mirror the dy = 0 row too, so exact symmetry does not rest on the
+    # BLAS summing every column of the product in the same order.
+    zero = lag[m_h - 1]
+    zero[:m_v - 1] = zero[:m_v - 1:-1].conj()
     idx = np.arange(geom.m)
-    p_y = idx % geom.m_h
-    p_z = idx // geom.m_h
-    # Chunk over quadrature nodes to bound the steering-matrix size.
-    r = np.zeros((geom.m, geom.m), dtype=complex)
-    chunk = max(1, 4_000_000 // max(geom.m, 1))
-    for lo in range(0, az.size, chunk):
-        hi = min(lo + chunk, az.size)
-        a = np.exp(
-            2j * np.pi * geom.d_v * p_z[:, None] * np.sin(el[lo:hi])[None, :]
-            + 2j * np.pi * geom.d_h * p_y[:, None]
-            * (np.cos(el[lo:hi]) * np.sin(az[lo:hi]))[None, :]
-        )
-        r += (a * weights[lo:hi]) @ a.conj().T
+    p_y = idx % m_h
+    p_z = idx // m_h
+    r = lag[p_y[:, None] - p_y[None, :] + m_h - 1,
+            p_z[:, None] - p_z[None, :] + m_v - 1]
     np.fill_diagonal(r, 1.0)
     return beta * r
 
@@ -279,9 +300,8 @@ def onering_upa(geom: UpaGeometry, ang: AngularSpec,
     x, w = _leggauss(quad.nodes_per_dim)
     az = ang.phi + ang.delta_phi * x
     el = ang.theta + ang.delta_theta * x
-    az_g, el_g = np.meshgrid(az, el, indexing="ij")
     w_g = np.outer(w, w) / 4.0  # (1 / 4 Delta_phi Delta_theta) absorbs both scales
-    return _upa_from_angles(geom, az_g.ravel(), el_g.ravel(), w_g.ravel(), ang.beta)
+    return _upa_from_angles(geom, az, el, w_g, ang.beta)
 
 
 def gaussian_upa(geom: UpaGeometry, ang: AngularSpec,
@@ -300,6 +320,5 @@ def gaussian_upa(geom: UpaGeometry, ang: AngularSpec,
                     geom.d_v, geom.m_v)
     d_az, w_az = _truncated_gaussian_nodes(ang.sigma_phi, quad)
     d_el, w_el = _truncated_gaussian_nodes(ang.sigma_theta, quad)
-    az_g, el_g = np.meshgrid(ang.phi + d_az, ang.theta + d_el, indexing="ij")
-    w_g = np.outer(w_az, w_el)
-    return _upa_from_angles(geom, az_g.ravel(), el_g.ravel(), w_g.ravel(), ang.beta)
+    return _upa_from_angles(geom, ang.phi + d_az, ang.theta + d_el,
+                            np.outer(w_az, w_el), ang.beta)

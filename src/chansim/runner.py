@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics, xlmimo
 from .config import ExperimentConfig, apply_point, config_to_text
-from .errors import ChansimError, IoError
+from .errors import ChansimError, ConfigError, IoError
 # build_correlation and xl_sinr_noise_power stay importable from here.
 from .registry import METRICS, build_correlation, xl_scenario, xl_sinr_noise_power  # noqa: F401
 
@@ -43,15 +43,14 @@ def trial_value(cfg: ExperimentConfig, rng: np.random.Generator,
 
 def _run_point(args):
     cfg, index, assignment = args
-    point_cfg = apply_point(cfg, assignment)
     vals = np.empty(cfg.trials)
     try:
         scenario = None
-        if point_cfg.freeze_geometry and METRICS[point_cfg.metric].scenario:
-            scenario = xl_scenario(point_cfg, np.random.default_rng([cfg.seed, index]))
+        if cfg.freeze_geometry and METRICS[cfg.metric].scenario:
+            scenario = xl_scenario(cfg, np.random.default_rng([cfg.seed, index]))
         for t in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, index, t])
-            vals[t] = trial_value(point_cfg, rng, scenario)
+            vals[t] = trial_value(cfg, rng, scenario)
     except ChansimError as e:
         raise type(e)(f"sweep point {assignment}: {e}") from e
     mean, se = metrics.mean_with_stderr(vals)
@@ -64,7 +63,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     names = [s.param for s in specs]
     assignments = [dict(zip(names, combo))
                    for combo in itertools.product(*(s.grid for s in specs))]
-    tasks = [(cfg, i, a) for i, a in enumerate(assignments)]
+    # Build every point's config first, so a bad grid value fails before any trial runs.
+    tasks = []
+    for i, a in enumerate(assignments):
+        try:
+            tasks.append((apply_point(cfg, a), i, a))
+        except ConfigError as e:
+            raise ConfigError(f"sweep point {a}: {e}") from e
     if cfg.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             stats = dict(pool.map(_run_point, tasks))

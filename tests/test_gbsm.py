@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from chansim import gbsm
 from chansim.errors import InvalidParam, QuadratureWarning, ValidityWarning
 from chansim.gbsm import (AngularSpec, QuadratureConfig, UlaGeometry, UpaGeometry,
                           draw_scatterer_angles, gaussian_ula_closed,
@@ -215,6 +218,52 @@ def test_gaussian_upa_diagonal_and_oracle():
                       + 2j * np.pi * 0.5 * (py_m - py_n) * np.cos(el) * np.sin(az))
         oracle = np.trapezoid(np.trapezoid(kern * pdf, d_el, axis=1), d_az) / norm
         assert abs(r[mi, ni] - oracle) <= 1e-7
+
+
+def dense_upa(geom, az, el, weights, beta):
+    """Dense oracle beta * A diag(w) A^H over the flattened tensor grid of nodes."""
+    az_g, el_g = np.meshgrid(az, el, indexing="ij")
+    az_g, el_g = az_g.ravel(), el_g.ravel()
+    idx = np.arange(geom.m)
+    p_y, p_z = idx % geom.m_h, idx // geom.m_h
+    a = np.exp(2j * np.pi * geom.d_v * p_z[:, None] * np.sin(el_g)[None, :]
+               + 2j * np.pi * geom.d_h * p_y[:, None]
+               * (np.cos(el_g) * np.sin(az_g))[None, :])
+    r = (a * weights.ravel()) @ a.conj().T
+    np.fill_diagonal(r, 1.0)
+    return beta * r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m_h=st.integers(1, 5), m_v=st.integers(1, 5),
+       d_h=st.floats(0.0, 10.0), d_v=st.floats(0.0, 10.0),
+       phi=st.floats(-np.pi, np.pi), theta=st.floats(-np.pi / 2, np.pi / 2),
+       spread_az=st.floats(0.01, 1.0), spread_el=st.floats(0.01, 1.0),
+       beta=st.floats(0.05, 2.0), nodes=st.integers(3, 41))
+@pytest.mark.filterwarnings("ignore::chansim.errors.QuadratureWarning")
+def test_upa_lag_table_matches_dense_assembly(m_h, m_v, d_h, d_v, phi, theta,
+                                              spread_az, spread_el, beta, nodes):
+    assume(m_h != m_v and d_h != d_v and beta != 1.0)
+    geom = UpaGeometry(m_h=m_h, m_v=m_v, d_h=d_h, d_v=d_v)
+    quad = QuadratureConfig(nodes_per_dim=nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    ring = AngularSpec(phi=phi, theta=theta, delta_phi=spread_az,
+                       delta_theta=spread_el, beta=beta)
+    gauss = AngularSpec(phi=phi, theta=theta, sigma_phi=spread_az / 2,
+                        sigma_theta=spread_el / 2, beta=beta)
+    d_az, w_az = gbsm._truncated_gaussian_nodes(gauss.sigma_phi, quad)
+    d_el, w_el = gbsm._truncated_gaussian_nodes(gauss.sigma_theta, quad)
+    cases = [
+        (onering_upa(geom, ring, quad),
+         dense_upa(geom, phi + spread_az * x, theta + spread_el * x,
+                   np.outer(w, w) / 4.0, beta)),
+        (gaussian_upa(geom, gauss, quad),
+         dense_upa(geom, phi + d_az, theta + d_el, np.outer(w_az, w_el), beta)),
+    ]
+    for r, oracle in cases:
+        assert np.abs(r - oracle).max() <= 1e-13
+        assert np.array_equal(r, r.conj().T)
+        assert np.all(np.diag(r) == beta)
 
 
 def test_gaussian_upa_capacity_exceeds_onering():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chansim import xlmimo
+from chansim import cli, runner, xlmimo
 from chansim.config import ExperimentConfig, SweepSpec, parse_config
 from chansim.errors import IoError, RankDeficient
 from chansim.presets import preset
@@ -98,6 +98,26 @@ sweep.grid = 20
 """
     with pytest.raises(RankDeficient, match="num_users"):
         run_experiment(parse_config(text))
+
+
+def test_bad_grid_value_fails_before_any_trial(monkeypatch, tmp_path, capsys):
+    # the bad value sits at the last point; no point may run before it is rejected
+    calls = []
+    trial = runner.trial_value
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return trial(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "trial_value", counting)
+    path = tmp_path / "c.txt"
+    path.write_text(SMALL.replace("exponential", "uncorrelated")
+                    .replace("param = rho", "param = sigma_shad")
+                    .replace("0,0.5,1", "2,-1"))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "sweep point {'sigma_shad': -1}" in err and "model.sigma_shad" in err
+    assert calls == []
 
 
 def test_build_correlation_models():
