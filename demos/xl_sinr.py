@@ -16,7 +16,8 @@ import numpy as np
 
 from chansim import metrics
 from chansim.presets import preset
-from chansim.runner import run_experiment, xl_sinr_noise_power
+from chansim.registry import xl_sinr_noise_power
+from chansim.runner import run_experiment
 
 
 def main():
@@ -39,10 +40,9 @@ def main():
     scenario = xlmimo.build_scenario(scheme, cfg.num_users, cfg.clusters_per_user,
                                      rng, r_bounds=(cfg.r_min, cfg.r_max))
     h = xlmimo.assemble_channel_matrix(scenario, rng)
-    pre = precoding.normalize_columns(
-        precoding.cb_precoder(h),
-        precoding.PowerAllocation.equal(cfg.num_users, cfg.total_power))
-    gamma = metrics.sinr_per_user(h, pre, xl_sinr_noise_power(cfg))
+    p = np.full(cfg.num_users, cfg.total_power / cfg.num_users)
+    w = precoding.normalize_columns(precoding.cb_precoder(h), p)
+    gamma = metrics.sinr_per_user(h, w, xl_sinr_noise_power(cfg))
     print("single realization, per-user SINR:",
           ", ".join("%.2f" % g for g in gamma))
 

@@ -15,18 +15,15 @@ from .errors import (ChansimError, ConfigError, InvalidMatrix, InvalidParam,
 from .gbsm import (AngularSpec, QuadratureConfig, UlaGeometry, UpaGeometry,
                    draw_scatterer_angles, gaussian_ula_closed,
                    gaussian_ula_numeric, gaussian_ula_shadowed, gaussian_upa,
-                   onering_ula, onering_upa, steering_vector_ula,
-                   upa_antenna_index)
-from .linalg import (Spectrum, check_hermitian, complex_gaussian,
-                     condition_number, hermitian_eig, log2_det_ipm,
-                     psd_eigvals, psd_sqrt, sample_correlated)
+                   onering_ula, onering_upa, upa_antenna_index)
+from .linalg import (check_hermitian, complex_gaussian, condition_number,
+                     log2_det_ipm, psd_eigvals, psd_sqrt, sample_correlated)
 from .metrics import (capacity_single, capacity_ub, correlation_coefficient,
-                      db_to_linear, ergodic_capacity, mean_pairwise_correlation,
-                      mean_with_stderr, sinr_per_user)
-from .precoding import (PowerAllocation, PrecodingMatrix, cb_precoder,
-                        normalize_columns, zf_precoder)
+                      db_to_linear, mean_with_stderr, sinr_per_user)
+from .precoding import cb_precoder, normalize_columns, zf_precoder
 from .presets import preset, preset_names
-from .runner import RunResult, build_correlation, emit_csv, run_experiment, trial_value
+from .registry import build_correlation
+from .runner import RunResult, emit_csv, run_experiment, trial_value
 from .xlmimo import (Cluster, ClusterCorrelation, ClusterScheme, PathlossParams,
                      XlScenario, assemble_channel_matrix, build_scenario,
                      cluster_channel, pathloss_per_antenna,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import precoding, xlmimo
 from .errors import ConfigError
 from .registry import METRICS, MODELS
 
@@ -113,6 +114,8 @@ class ExperimentConfig:
                 f"metric '{self.metric}' is not defined for model '{self.model}'")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.sigma_shad < 0:
@@ -120,15 +123,19 @@ class ExperimentConfig:
         if self.num_scatterers < 1:
             raise ConfigError(
                 f"model.num_scatterers must be >= 1, got {self.num_scatterers}")
+        if self.num_users < 1:
+            raise ConfigError(f"xl.users must be >= 1, got {self.num_users}")
+        if self.total_power < 0:
+            raise ConfigError(f"xl.total_power must be >= 0, got {self.total_power}")
         if len(self.curves) > 3:
             raise ConfigError("at most 3 curve parameters are supported")
-        if self.xl_scheme not in ("scheme1", "scheme2"):
+        if self.xl_scheme not in xlmimo.CLUSTER_SCHEMES:
             raise ConfigError(f"unknown cluster scheme '{self.xl_scheme}'")
-        if self.xl_correlation not in ("uncorrelated", "exponential", "onering"):
+        if self.xl_correlation not in xlmimo.CLUSTER_CORRELATIONS:
             raise ConfigError(f"unknown XL correlation '{self.xl_correlation}'")
-        if self.precoder not in ("cb", "zf"):
+        if self.precoder not in precoding.PRECODERS:
             raise ConfigError(f"unknown precoder '{self.precoder}'")
-        if self.power_convention not in ("amplitude", "power"):
+        if self.power_convention not in precoding.POWER_CONVENTIONS:
             raise ConfigError(f"unknown power convention '{self.power_convention}'")
 
 

@@ -1,9 +1,9 @@
 """Geometry-based stochastic channel models (GBSM).
 
-Steering vectors and spatial correlation matrices for one-ring (uniform)
-and Gaussian local scattering, over uniform linear (2-D) and uniform planar
-(3-D) arrays.  Angular integrals are evaluated with Gauss-Legendre
-quadrature.  Every matrix is the weighted sum A diag(w) A^H with positive
+Spatial correlation matrices for one-ring (uniform) and Gaussian local
+scattering, over uniform linear (2-D) and uniform planar (3-D) arrays.
+Angular integrals are evaluated with Gauss-Legendre quadrature.  Every
+matrix is the weighted sum A diag(w) A^H of steering vectors with positive
 weights, so the output is Hermitian PSD by construction.  The ULA builders
 form that product directly; the UPA builder takes the same sum once per
 grid-index lag and gathers the M x M matrix from the lag table.
@@ -113,12 +113,6 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
-
-
-def steering_vector_ula(geom: UlaGeometry, angle: float, gain: complex = 1.0) -> np.ndarray:
-    """ULA array response g * [1, e^{2 pi i d_H sin(angle)}, ...]^T."""
-    m = np.arange(geom.m)
-    return gain * np.exp(2j * np.pi * geom.d_h * m * np.sin(angle))
 
 
 def _warn_if_coarse(nodes: int, spread: float, d_h: float, m: int):

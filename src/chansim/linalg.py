@@ -1,14 +1,13 @@
 """Complex dense linear algebra kernel.
 
-Hermitian eigendecompositions, PSD matrix square roots, condition numbers,
+PSD eigenvalues and matrix square roots, condition numbers,
 eigenvalue-domain log-determinants and correlated complex Gaussian sampling.
-All correlation-matrix consumers in the package go through these routines so
-that the PSD clipping policy lives in one place.
+Every routine takes and returns plain numpy arrays or floats.  All
+correlation-matrix consumers in the package go through these routines so
+that the Hermitian check and the PSD clipping policy live in one place.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,21 +17,6 @@ from .errors import InvalidMatrix, InvalidParam, NotPSD
 HERMITIAN_RTOL = 1e-12
 # Eigenvalues above -PSD_RTOL * lambda_max are treated as numerically zero.
 PSD_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigen- or singular-value data, sorted nonincreasing.
-
-    ``vectors`` holds the unitary factor column-aligned with ``values``
-    (``None`` when only values were requested).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
 def _check_finite(a: np.ndarray) -> np.ndarray:
@@ -59,15 +43,6 @@ def check_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def hermitian_eig(a: np.ndarray, vectors: bool = True) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues nonincreasing."""
-    a = check_hermitian(a)
-    if vectors:
-        vals, vecs = np.linalg.eigh(a)
-        return Spectrum(values=vals[::-1], vectors=vecs[:, ::-1])
-    return Spectrum(values=np.linalg.eigvalsh(a)[::-1])
-
-
 def _clip_psd(values: np.ndarray) -> np.ndarray:
     """Clip a nonincreasing spectrum to >= 0; raise :class:`NotPSD` below the noise band."""
     lam_max = values[0] if values.size else 0.0
@@ -80,11 +55,11 @@ def _clip_psd(values: np.ndarray) -> np.ndarray:
 
 
 def psd_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a numerically PSD Hermitian matrix, clipped to >= 0.
+    """Eigenvalues of a numerically PSD Hermitian matrix, nonincreasing, clipped to >= 0.
 
     Raises :class:`NotPSD` if any eigenvalue is below ``-PSD_RTOL * lambda_max``.
     """
-    return _clip_psd(hermitian_eig(a, vectors=False).values)
+    return _clip_psd(np.linalg.eigvalsh(check_hermitian(a))[::-1])
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -95,9 +70,9 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     with a small angular spread, for instance) are handled without Cholesky
     failures.
     """
-    spec = hermitian_eig(a, vectors=True)
-    lam = _clip_psd(spec.values)
-    u = spec.vectors
+    vals, vecs = np.linalg.eigh(check_hermitian(a))
+    lam = _clip_psd(vals[::-1])
+    u = vecs[:, ::-1]
     return (u * np.sqrt(lam)) @ u.conj().T
 
 

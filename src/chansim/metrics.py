@@ -1,8 +1,9 @@
 """Figures of merit for channel realizations.
 
-Ergodic capacity (Monte Carlo over draws), Jensen upper-bound capacity
-from a correlation matrix, per-user downlink SINR for a given precoder,
-and the inter-user channel correlation coefficient.  All capacity values
+Capacity of one channel draw (the runner averages draws into the ergodic
+capacity), Jensen upper-bound capacity from a correlation matrix,
+per-user downlink SINR for a precoding array, and the inter-user channel
+correlation coefficient.  Inputs are plain arrays.  All capacity values
 are in bits per channel use; SNR/noise conversions from dB happen here.
 """
 
@@ -41,14 +42,6 @@ def capacity_single(h: np.ndarray, eta: float, m: int) -> float:
     return log2_det_ipm(gram, eta / m)
 
 
-def ergodic_capacity(h_draws, eta: float, m: int) -> float:
-    """Monte Carlo mean of the per-draw capacity over a sequence of draws."""
-    vals = [capacity_single(h, eta, m) for h in h_draws]
-    if not vals:
-        raise InvalidParam("need at least one channel draw")
-    return float(np.mean(vals))
-
-
 def capacity_ub(r: np.ndarray, eta: float, m: int) -> float:
     """Jensen upper bound log2 det(I + (eta/M) R) from the correlation matrix."""
     if eta < 0:
@@ -62,11 +55,11 @@ def sinr_per_user(h: np.ndarray, w: np.ndarray, sigma2: float) -> np.ndarray:
     """Per-user downlink SINR for channel H and precoding matrix W.
 
     gamma_k = |h_k^H g_k|^2 / (sum_{j != k} |h_k^H g_j|^2 + sigma2)
-    where g_j is column j of W.  Accepts a PrecodingMatrix or a plain array.
+    where g_j is column j of W.
     """
     if sigma2 <= 0:
         raise InvalidParam(f"noise power must be > 0, got {sigma2}")
-    w = np.asarray(getattr(w, "w", w), dtype=complex)
+    w = np.asarray(w, dtype=complex)
     h = np.asarray(h, dtype=complex)
     if h.shape != w.shape:
         raise InvalidParam(f"shape mismatch: H {h.shape} vs W {w.shape}")
@@ -86,17 +79,6 @@ def correlation_coefficient(h_i: np.ndarray, h_j: np.ndarray) -> float:
         raise ZeroVector("correlation coefficient of a zero vector is undefined")
     val = abs(np.vdot(h_i, h_j)) / (ni * nj)
     return float(min(val, 1.0))
-
-
-def mean_pairwise_correlation(h: np.ndarray) -> float:
-    """Average correlation coefficient over all unordered user pairs of H."""
-    h = np.asarray(h, dtype=complex)
-    k = h.shape[1]
-    if k < 2:
-        raise InvalidParam(f"need at least 2 users, got {k}")
-    vals = [correlation_coefficient(h[:, i], h[:, j])
-            for i in range(k) for j in range(i + 1, k)]
-    return float(np.mean(vals))
 
 
 def mean_with_stderr(samples) -> tuple[float, float]:

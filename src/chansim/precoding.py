@@ -1,13 +1,12 @@
 """Downlink linear precoding: conjugate beamforming and zero-forcing.
 
-Both precoders produce an unnormalized M x K matrix; the column
-normalization enforcing the per-user power constraint is a separate step
-so the ZF defining property H^H W = I can be checked before scaling.
+Both precoders return an unnormalized M x K array; the column
+normalization enforcing the per-user power constraint is a separate step,
+taking the length-K vector of per-user powers, so the ZF defining property
+H^H W = I can be checked before scaling.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,58 +14,17 @@ from .errors import InvalidParam, RankDeficient, ZeroColumn
 
 # Gram matrices with condition number above this are treated as singular.
 GRAM_COND_LIMIT = 1e12
+# The accepted precoder names and column-power conventions.
+PRECODERS = ("cb", "zf")
+POWER_CONVENTIONS = ("amplitude", "power")
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-user transmit powers in watts, summing to the total power."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise InvalidParam(f"power allocation must be a 1-D vector, got shape {p.shape}")
-        if np.any(p < 0):
-            raise InvalidParam("per-user powers must be >= 0")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def total(self) -> float:
-        return float(self.p.sum())
-
-    @classmethod
-    def equal(cls, k: int, total: float = 1.0) -> "PowerAllocation":
-        """Uniform split p_k = P / K."""
-        if k < 1:
-            raise InvalidParam(f"user count must be >= 1, got {k}")
-        if total < 0:
-            raise InvalidParam(f"total power must be >= 0, got {total}")
-        return cls(np.full(k, total / k))
-
-
-@dataclass(frozen=True)
-class PrecodingMatrix:
-    """Precoding matrix with its scheme tag ('cb' or 'zf')."""
-
-    w: np.ndarray
-    scheme: str
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=complex)
-        if w.ndim != 2:
-            raise InvalidParam(f"precoding matrix must be 2-D, got shape {w.shape}")
-        if self.scheme not in ("cb", "zf"):
-            raise InvalidParam(f"unknown precoding scheme {self.scheme!r}")
-        object.__setattr__(self, "w", w)
-
-
-def cb_precoder(h: np.ndarray) -> PrecodingMatrix:
+def cb_precoder(h: np.ndarray) -> np.ndarray:
     """Conjugate beamforming: the precoding matrix is the channel itself."""
-    return PrecodingMatrix(w=np.array(h, dtype=complex), scheme="cb")
+    return np.array(h, dtype=complex)
 
 
-def zf_precoder(h: np.ndarray) -> PrecodingMatrix:
+def zf_precoder(h: np.ndarray) -> np.ndarray:
     """Zero-forcing W = H (H^H H)^{-1}, via a solve on the Gram matrix.
 
     Raises RankDeficient for K > M or when the Gram matrix condition number
@@ -83,27 +41,32 @@ def zf_precoder(h: np.ndarray) -> PrecodingMatrix:
     if s[-1] <= 0 or s[0] / s[-1] > GRAM_COND_LIMIT:
         raise RankDeficient("Gram matrix is singular or too ill-conditioned")
     # W^H = (H^H H)^{-1} H^H  solved without forming the inverse
-    w = np.linalg.solve(gram, h.conj().T).conj().T
-    return PrecodingMatrix(w=w, scheme="zf")
+    return np.linalg.solve(gram, h.conj().T).conj().T
 
 
-def normalize_columns(pre: PrecodingMatrix, alloc: PowerAllocation,
-                      power_convention: str = "amplitude") -> PrecodingMatrix:
-    """Scale column k to p_k * w_k / ||w_k||.
+def normalize_columns(w: np.ndarray, p: np.ndarray,
+                      power_convention: str = "amplitude") -> np.ndarray:
+    """Scale column k to p_k * w_k / ||w_k||, with p the per-user powers.
 
     With the default 'amplitude' convention the resulting column norm equals
     p_k directly, matching the printed normalization rule.  The 'power'
     convention uses sqrt(p_k) instead so column power equals p_k.
     """
-    if power_convention not in ("amplitude", "power"):
+    if power_convention not in POWER_CONVENTIONS:
         raise InvalidParam(f"unknown power convention {power_convention!r}")
-    w = pre.w
-    if alloc.p.shape[0] != w.shape[1]:
-        raise InvalidParam(
-            f"allocation length {alloc.p.shape[0]} does not match K={w.shape[1]}")
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 2:
+        raise InvalidParam(f"precoding matrix must be 2-D, got shape {w.shape}")
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size < 1:
+        raise InvalidParam(f"power allocation must be a 1-D vector, got shape {p.shape}")
+    if p.shape[0] != w.shape[1]:
+        raise InvalidParam(f"allocation length {p.shape[0]} does not match K={w.shape[1]}")
+    if np.any(p < 0):
+        raise InvalidParam("per-user powers must be >= 0")
     norms = np.linalg.norm(w, axis=0)
     if np.any(norms == 0):
         bad = int(np.argmax(norms == 0))
         raise ZeroColumn(f"column {bad} has zero norm and cannot be normalized")
-    scale = alloc.p if power_convention == "amplitude" else np.sqrt(alloc.p)
-    return PrecodingMatrix(w=w * (scale / norms), scheme=pre.scheme)
+    scale = p if power_convention == "amplitude" else np.sqrt(p)
+    return w * (scale / norms)

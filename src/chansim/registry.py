@@ -215,9 +215,9 @@ def _corr_coeff(cfg, rng, scenario):
 def _sinr(cfg, rng, scenario):
     scen = scenario if scenario is not None else xl_scenario(cfg, rng)
     h = xlmimo.assemble_channel_matrix(scen, rng)
-    pre = precoding.cb_precoder(h) if cfg.precoder == "cb" else precoding.zf_precoder(h)
-    alloc = precoding.PowerAllocation.equal(cfg.num_users, cfg.total_power)
-    w = precoding.normalize_columns(pre, alloc, cfg.power_convention)
+    w = precoding.cb_precoder(h) if cfg.precoder == "cb" else precoding.zf_precoder(h)
+    p = np.full(cfg.num_users, cfg.total_power / cfg.num_users)
+    w = precoding.normalize_columns(w, p, cfg.power_convention)
     gam = metrics.sinr_per_user(h, w, xl_sinr_noise_power(cfg))
     return float(gam.mean())
 

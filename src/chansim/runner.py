@@ -18,8 +18,7 @@ import numpy as np
 from . import metrics, xlmimo
 from .config import ExperimentConfig, apply_point, config_to_text
 from .errors import ChansimError, ConfigError, IoError
-# build_correlation and xl_sinr_noise_power stay importable from here.
-from .registry import METRICS, build_correlation, xl_scenario, xl_sinr_noise_power  # noqa: F401
+from .registry import METRICS, xl_scenario
 
 
 @dataclass(frozen=True)

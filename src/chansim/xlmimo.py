@@ -24,11 +24,13 @@ from .errors import InvalidParam
 from .gbsm import AngularSpec, QuadratureConfig, UlaGeometry, onering_ula
 from .linalg import psd_sqrt, complex_gaussian
 
-# Fixed values of the reference XL scenario.
+# Fixed values and accepted kinds of the reference XL scenario.
 DEFAULT_WAVELENGTH = 0.125           # meters (2.4 GHz carrier)
 VR_SPACING_WAVELENGTHS = 5.0         # d_H used by the VR construction
 DEFAULT_USER_DISTANCE = 40.0         # meters, broadside
 SCHEME1_ARC = (-np.pi / 3.0, np.pi / 3.0)   # scheme-1 azimuths, radians about broadside
+CLUSTER_SCHEMES = ("scheme1", "scheme2")
+CLUSTER_CORRELATIONS = ("uncorrelated", "exponential", "onering")
 
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
@@ -60,7 +62,7 @@ class ClusterScheme:
     d2: float = 20.0
 
     def __post_init__(self):
-        if self.kind not in ("scheme1", "scheme2"):
+        if self.kind not in CLUSTER_SCHEMES:
             raise InvalidParam(f"unknown cluster scheme {self.kind!r}")
         if self.d1 <= 0 or self.d2 <= 0:
             raise InvalidParam("cluster distances must be > 0")
@@ -227,12 +229,12 @@ class ClusterCorrelation:
     (``CLUSTER_CORR_QUADRATURE``).
     """
 
-    kind: str = "uncorrelated"   # uncorrelated | exponential | onering
+    kind: str = "uncorrelated"   # one of CLUSTER_CORRELATIONS
     rho: float = 0.5
     delta: float = np.radians(10.0)
 
     def __post_init__(self):
-        if self.kind not in ("uncorrelated", "exponential", "onering"):
+        if self.kind not in CLUSTER_CORRELATIONS:
             raise InvalidParam(f"unknown correlation kind {self.kind!r}")
 
 

@@ -310,12 +310,11 @@ def test_criterion_09_zf_contract():
     worst_interf = 0.0
     for k in (1, 10, 50):
         h = linalg.complex_gaussian((100, k), rng)
-        pre = precoding.zf_precoder(h)
+        w = precoding.zf_precoder(h)
         worst_resid = max(worst_resid,
-                          np.abs(h.conj().T @ pre.w - np.eye(k)).max())
-        norm = precoding.normalize_columns(
-            pre, precoding.PowerAllocation.equal(k, 1.0))
-        cross = np.abs(h.conj().T @ norm.w) ** 2
+                          np.abs(h.conj().T @ w - np.eye(k)).max())
+        w = precoding.normalize_columns(w, np.full(k, 1.0 / k))
+        cross = np.abs(h.conj().T @ w) ** 2
         signal = np.diag(cross).copy()
         np.fill_diagonal(cross, 0.0)
         worst_interf = max(worst_interf, float((cross.max(axis=1) / signal).max()))

@@ -95,16 +95,33 @@ sweep.grid = 8
 """
 
 
-@pytest.mark.parametrize("text, named", [
-    (CONFIG.replace("0,0.5", "low,high"), "'rho'"),
-    (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "8,abc"), "'m'"),
-    (SHADOWED + "model.num_scatterers = 0\n", "model.num_scatterers"),
-    (SHADOWED + "model.sigma_shad = -1\n", "model.sigma_shad"),
-], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad"])
-def test_invalid_value_exit_2(tmp_path, text, named):
+XL = """
+model = xl
+metric = sinr
+trials = 1
+geometry.m = 10
+sweep.param = d1
+sweep.grid = 35
+"""
+
+
+@pytest.mark.parametrize("text, named, args", [
+    (CONFIG.replace("0,0.5", "low,high"), "'rho'", ()),
+    (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "8,abc"), "'m'", ()),
+    (SHADOWED + "model.num_scatterers = 0\n", "model.num_scatterers", ()),
+    (SHADOWED + "model.sigma_shad = -1\n", "model.sigma_shad", ()),
+    (CONFIG + "seed = -5\n", "seed", ()),
+    (CONFIG, "seed", ("--seed", "-1")),
+    (XL + "xl.users = 0\n", "xl.users", ()),
+    (XL.replace("param = d1", "param = num_users").replace("= 35", "= 2,0"),
+     "{'num_users': 0}: xl.users", ()),
+    (XL + "xl.total_power = -1\n", "xl.total_power", ()),
+], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad", "seed", "seed_option",
+        "users", "num_users_grid", "total_power"])
+def test_invalid_value_exit_2(tmp_path, text, named, args):
     cfg = tmp_path / "c.txt"
     cfg.write_text(text)
-    proc = run_cli("run", "--config", str(cfg))
+    proc = run_cli("run", "--config", str(cfg), *args)
     assert proc.returncode == 2
     assert named in proc.stderr and "Traceback" not in proc.stderr
 

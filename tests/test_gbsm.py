@@ -9,7 +9,7 @@ from chansim.gbsm import (AngularSpec, QuadratureConfig, UlaGeometry, UpaGeometr
                           draw_scatterer_angles, gaussian_ula_closed,
                           gaussian_ula_numeric, gaussian_ula_shadowed,
                           gaussian_upa, onering_ula, onering_upa,
-                          steering_vector_ula, upa_antenna_index)
+                          upa_antenna_index)
 from chansim.linalg import log2_det_ipm, psd_eigvals
 
 
@@ -25,22 +25,6 @@ def trapz_gaussian_entry(diff, phi, sigma, d_h, trunc=6.0, n=1_000_001):
     pdf = np.exp(-dlt**2 / (2 * sigma**2))
     vals = np.exp(2j * np.pi * d_h * diff * np.sin(phi + dlt)) * pdf
     return np.trapezoid(vals, dlt) / np.trapezoid(pdf, dlt)
-
-
-def test_steering_vector_broadside():
-    a = steering_vector_ula(UlaGeometry(m=2), 0.0)
-    assert np.allclose(a, [1, 1])
-
-
-def test_steering_vector_endfire():
-    a = steering_vector_ula(UlaGeometry(m=4, d_h=0.5), np.pi / 2)
-    assert np.allclose(a, [1, -1, 1, -1])
-
-
-def test_steering_vector_norm():
-    for phi in (0.1, 1.0, 2.5):
-        a = steering_vector_ula(UlaGeometry(m=16), phi, gain=2.0)
-        assert np.isclose(np.linalg.norm(a) ** 2, 16 * 4.0)
 
 
 def test_onering_diagonal_is_beta():

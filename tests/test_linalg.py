@@ -4,8 +4,7 @@ import pytest
 from chansim.errors import InvalidMatrix, InvalidParam, NotPSD
 from chansim.gbsm import AngularSpec, UlaGeometry, onering_ula
 from chansim.linalg import (check_hermitian, complex_gaussian, condition_number,
-                            hermitian_eig, log2_det_ipm, psd_eigvals, psd_sqrt,
-                            sample_correlated)
+                            log2_det_ipm, psd_eigvals, psd_sqrt, sample_correlated)
 
 
 def random_psd(m, rng):
@@ -13,46 +12,40 @@ def random_psd(m, rng):
     return a @ a.conj().T
 
 
-def test_hermitian_eig_identity():
-    spec = hermitian_eig(np.eye(3))
-    assert np.allclose(spec.values, [1, 1, 1])
+def test_psd_eigvals_identity():
+    assert np.allclose(psd_eigvals(np.eye(3)), [1, 1, 1])
 
 
-def test_hermitian_eig_all_ones():
-    spec = hermitian_eig(np.ones((3, 3)))
-    assert np.allclose(spec.values, [3, 0, 0], atol=1e-12)
+def test_psd_eigvals_all_ones():
+    assert np.allclose(psd_eigvals(np.ones((3, 3))), [3, 0, 0], atol=1e-12)
 
 
-def test_hermitian_eig_2x2():
-    spec = hermitian_eig(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert np.allclose(spec.values, [1.5, 0.5])
+def test_psd_eigvals_2x2():
+    assert np.allclose(psd_eigvals(np.array([[1.0, 0.5], [0.5, 1.0]])), [1.5, 0.5])
 
 
-def test_hermitian_eig_sorted_and_unitary():
+def test_psd_eigvals_nonincreasing():
     rng = np.random.default_rng(0)
-    a = random_psd(12, rng)
-    spec = hermitian_eig(a)
-    assert np.all(np.diff(spec.values) <= 0)
-    u = spec.vectors
-    assert np.abs(u.conj().T @ u - np.eye(12)).max() <= 1e-10
+    assert np.all(np.diff(psd_eigvals(random_psd(12, rng))) <= 0)
 
 
-def test_hermitian_eig_reconstruction():
+def test_psd_sqrt_reconstruction():
     rng = np.random.default_rng(1)
     a = random_psd(16, rng)
-    spec = hermitian_eig(a)
-    rec = (spec.vectors * spec.values) @ spec.vectors.conj().T
-    assert np.abs(rec - a).max() <= 1e-9 * spec.values[0]
+    s = psd_sqrt(a)
+    assert np.abs(s @ s.conj().T - a).max() <= 1e-9 * psd_eigvals(a)[0]
 
 
-def test_hermitian_eig_rejects_non_hermitian():
+@pytest.mark.parametrize("fn", [psd_eigvals, psd_sqrt], ids=["psd_eigvals", "psd_sqrt"])
+def test_psd_routines_reject_non_hermitian(fn):
     with pytest.raises(InvalidMatrix):
-        hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        fn(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_hermitian_eig_rejects_nan():
+@pytest.mark.parametrize("fn", [psd_eigvals, psd_sqrt], ids=["psd_eigvals", "psd_sqrt"])
+def test_psd_routines_reject_nan(fn):
     with pytest.raises(InvalidMatrix):
-        hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        fn(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_check_hermitian_tolerates_roundoff():

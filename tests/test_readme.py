@@ -1,4 +1,4 @@
-"""README's config section documents the whole registry vocabulary."""
+"""README's config section documents the whole registry vocabulary, and its example runs."""
 
 import dataclasses
 import re
@@ -26,3 +26,10 @@ def test_readme_config_section_names_every_key_sweep_model_and_metric():
                            ("model", MODELS), ("metric", METRICS)):
         missing = sorted(set(expected) - names)
         assert not missing, f"README config section lacks {kind}s {missing}"
+
+
+def test_readme_minimal_example_runs(capsys):
+    start = README.index("A minimal example:")
+    block = re.search(r"```python\n(.*?)```", README[start:], flags=re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) > 0

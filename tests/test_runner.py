@@ -7,9 +7,8 @@ from chansim import cli, runner, xlmimo
 from chansim.config import ExperimentConfig, SweepSpec, parse_config
 from chansim.errors import IoError, RankDeficient
 from chansim.presets import preset
-from chansim.registry import METRICS, MODELS
-from chansim.runner import (RunResult, build_correlation, emit_csv, run_experiment,
-                            trial_value)
+from chansim.registry import METRICS, MODELS, build_correlation
+from chansim.runner import RunResult, emit_csv, run_experiment, trial_value
 from chansim.metrics import db_to_linear
 
 SMALL = """
