@@ -23,7 +23,7 @@ def main():
     print("rho,capacity_bits")
     for rho in np.arange(0.0, 1.01, 0.1):
         r = cbsm.exponential_correlation(cbsm.ExponentialSpec(m=M, rho=rho))
-        print("%.1f,%.2f" % (rho, metrics.capacity_ub(r, ETA, M)))
+        print("%.1f,%.2f" % (rho, metrics.capacity_ub(r, ETA)))
 
     # Shadowing makes the matrix random, so we average the bound over
     # independent large-scale draws.
@@ -35,8 +35,8 @@ def main():
         caps = []
         for _ in range(TRIALS):
             f = cbsm.draw_shadowing(M, sigma, rng)
-            r = cbsm.uncorrelated_with_shadowing(M, 1.0, f)
-            caps.append(metrics.capacity_ub(r, ETA, M))
+            r = cbsm.uncorrelated_with_shadowing(1.0, f)
+            caps.append(metrics.capacity_ub(r, ETA))
         mean, stderr = metrics.mean_with_stderr(caps)
         print("%.0f,%.2f,%.2f" % (sigma, mean, stderr))
 

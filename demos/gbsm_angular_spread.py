@@ -25,7 +25,7 @@ def main():
     for delta in (1, 5, 10, 20, 30, 45):
         ang = gbsm.AngularSpec(phi=np.radians(30), delta_phi=np.radians(delta))
         r = gbsm.onering_ula(geom, ang)
-        print("%d,%.2f,%.3g" % (delta, metrics.capacity_ub(r, ETA, M),
+        print("%d,%.2f,%.3g" % (delta, metrics.capacity_ub(r, ETA),
                                 linalg.condition_number(r)))
 
     print()
@@ -34,7 +34,7 @@ def main():
     for phi in (0, 30, 60, 90):
         ang = gbsm.AngularSpec(phi=np.radians(phi), delta_phi=np.radians(30))
         r = gbsm.onering_ula(geom, ang)
-        print("%d,%.2f" % (phi, metrics.capacity_ub(r, ETA, M)))
+        print("%d,%.2f" % (phi, metrics.capacity_ub(r, ETA)))
 
     # Gaussian scattering: the closed form is a small-angle approximation,
     # compare it against the numeric integral at a few spreads.
@@ -44,8 +44,8 @@ def main():
     quad = gbsm.QuadratureConfig(nodes_per_dim=401)   # wide +-6 sigma window
     for sigma in (2, 5, 10):
         ang = gbsm.AngularSpec(phi=np.radians(30), sigma_phi=np.radians(sigma))
-        c_closed = metrics.capacity_ub(gbsm.gaussian_ula_closed(geom, ang), ETA, M)
-        c_num = metrics.capacity_ub(gbsm.gaussian_ula_numeric(geom, ang, quad), ETA, M)
+        c_closed = metrics.capacity_ub(gbsm.gaussian_ula_closed(geom, ang), ETA)
+        c_num = metrics.capacity_ub(gbsm.gaussian_ula_numeric(geom, ang, quad), ETA)
         print("%d,%.2f,%.2f" % (sigma, c_closed, c_num))
 
 

@@ -58,13 +58,14 @@ def draw_shadowing(m: int, sigma_shad: float, rng: np.random.Generator) -> np.nd
     return sigma_shad * rng.standard_normal(m)
 
 
-def uncorrelated_with_shadowing(m: int, beta: float, f: np.ndarray) -> np.ndarray:
-    """Diagonal correlation matrix beta * diag(10^(f/10)) (shadowed i.i.d. fading)."""
+def uncorrelated_with_shadowing(beta: float, f: np.ndarray) -> np.ndarray:
+    """Shadowed i.i.d. correlation beta * diag(10^(f/10)), M x M with M = len(f)."""
     if beta < 0:
         raise InvalidParam(f"path-loss gain must be >= 0, got {beta}")
     f = np.asarray(f, dtype=float)
-    if f.shape != (m,):
-        raise InvalidParam(f"shadow draw must have length {m}, got shape {f.shape}")
+    # np.diag of a 2-D array would read its diagonal instead of building one.
+    if f.ndim != 1:
+        raise InvalidParam(f"shadow draw must be 1-D, got shape {f.shape}")
     return np.diag(beta * 10.0 ** (f / 10.0))
 
 

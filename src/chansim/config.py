@@ -41,12 +41,23 @@ class SweepSpec:
                     f"sweep parameter '{self.param}' expects numbers, got '{value}'")
 
 
-def _key(key: str, default=dataclasses.MISSING, sweep: str | None = None):
-    """A config field with its document key and, if sweepable, its sweep name.
+# Range rule of a numeric field -> the test its value must pass.
+_RULES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "> 0": lambda v: v > 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
 
-    The value type is the default's; fields without a default are strings.
+
+def _key(key: str, default=dataclasses.MISSING, sweep: str | None = None,
+         rule: str | None = None):
+    """A config field with its document key, sweep name and range rule.
+
+    ``sweep`` names sweepable fields, ``rule`` (a key of ``_RULES``) bounds
+    numeric ones.  The value type is the default's; else it is a string.
     """
-    return field(default=default, metadata={"key": key, "sweep": sweep})
+    return field(default=default, metadata={"key": key, "sweep": sweep, "rule": rule})
 
 
 @dataclass(frozen=True)
@@ -62,20 +73,20 @@ class ExperimentConfig:
     metric: str = _key("metric")
     sweep: SweepSpec
     curves: tuple = ()
-    trials: int = _key("trials", 300)
-    seed: int = _key("seed", 0)
+    trials: int = _key("trials", 300, rule=">= 1")
+    seed: int = _key("seed", 0, rule=">= 0")
     snr_db: float = _key("snr_db", 60.0)
-    workers: int = _key("workers", 1)
+    workers: int = _key("workers", 1, rule=">= 1")
     # array geometry; m_h = 0 means a linear array
-    m: int = _key("geometry.m", 100, sweep="m")
+    m: int = _key("geometry.m", 100, sweep="m", rule=">= 1")
     m_h: int = _key("geometry.m_h", 0)
     m_v: int = _key("geometry.m_v", 0)
-    d_h: float = _key("geometry.d_h", 0.5, sweep="d_h")
-    d_v: float = _key("geometry.d_v", 0.5, sweep="d_v")
+    d_h: float = _key("geometry.d_h", 0.5, sweep="d_h", rule=">= 0")
+    d_v: float = _key("geometry.d_v", 0.5, sweep="d_v", rule=">= 0")
     # correlation-model parameters (angles in degrees)
     rho: float = _key("model.rho", 0.5, sweep="rho")
     beta: float = _key("model.beta", 1.0, sweep="beta")
-    sigma_shad: float = _key("model.sigma_shad", 0.0, sweep="sigma_shad")
+    sigma_shad: float = _key("model.sigma_shad", 0.0, sweep="sigma_shad", rule=">= 0")
     theta_deg: float = _key("model.theta_deg", 0.0, sweep="theta")
     phi_deg: float = _key("model.phi_deg", 30.0, sweep="phi")
     delta_deg: float = _key("model.delta_deg", 10.0, sweep="delta")
@@ -83,24 +94,24 @@ class ExperimentConfig:
     theta_el_deg: float = _key("model.theta_el_deg", 0.0, sweep="theta_el")
     delta_theta_deg: float = _key("model.delta_theta_deg", 15.0, sweep="delta_theta")
     sigma_theta_deg: float = _key("model.sigma_theta_deg", 15.0, sweep="sigma_theta")
-    num_scatterers: int = _key("model.num_scatterers", 1)
+    num_scatterers: int = _key("model.num_scatterers", 1, rule=">= 1")
     svd_index: int = _key("model.svd_index", 0)
     # XL-MIMO scenario parameters
     xl_scheme: str = _key("xl.scheme", "scheme1", sweep="scheme")
-    num_users: int = _key("xl.users", 10, sweep="num_users")
-    clusters_per_user: int = _key("xl.clusters_per_user", 2)
-    d1: float = _key("xl.d1", 35.0, sweep="d1")
-    d2: float = _key("xl.d2", 20.0, sweep="d2")
+    num_users: int = _key("xl.users", 10, sweep="num_users", rule=">= 1")
+    clusters_per_user: int = _key("xl.clusters_per_user", 2, rule=">= 1")
+    d1: float = _key("xl.d1", 35.0, sweep="d1", rule="> 0")
+    d2: float = _key("xl.d2", 20.0, sweep="d2", rule="> 0")
     xl_correlation: str = _key("xl.correlation", "uncorrelated", sweep="correlation")
     precoder: str = _key("xl.precoder", "cb", sweep="precoder")
-    total_power: float = _key("xl.total_power", 1.0)
+    total_power: float = _key("xl.total_power", 1.0, rule=">= 0")
     power_convention: str = _key("power_convention", "amplitude")
-    p0: float = _key("xl.p0", 0.05)
-    p1: float = _key("xl.p1", 0.95)
-    c: float = _key("xl.c", 0.05)
-    r_min: float = _key("xl.r_min", 5.0)
+    p0: float = _key("xl.p0", 0.05, rule="in [0, 1]")
+    p1: float = _key("xl.p1", 0.95, rule="in [0, 1]")
+    c: float = _key("xl.c", 0.05, rule="in [0, 1]")
+    r_min: float = _key("xl.r_min", 5.0, rule="> 0")
     r_max: float = _key("xl.r_max", 10.0)
-    vr_antennas: int = _key("xl.vr_antennas", 33, sweep="vr_antennas")
+    vr_antennas: int = _key("xl.vr_antennas", 33, sweep="vr_antennas", rule=">= 1")
     # 1 = draw scenario geometry once per sweep point instead of per trial
     freeze_geometry: int = _key("xl.freeze_geometry", 0)
 
@@ -112,21 +123,16 @@ class ExperimentConfig:
         if MODELS[self.model].family != METRICS[self.metric].family:
             raise ConfigError(
                 f"metric '{self.metric}' is not defined for model '{self.model}'")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.sigma_shad < 0:
-            raise ConfigError(f"model.sigma_shad must be >= 0, got {self.sigma_shad}")
-        if self.num_scatterers < 1:
-            raise ConfigError(
-                f"model.num_scatterers must be >= 1, got {self.num_scatterers}")
-        if self.num_users < 1:
-            raise ConfigError(f"xl.users must be >= 1, got {self.num_users}")
-        if self.total_power < 0:
-            raise ConfigError(f"xl.total_power must be >= 0, got {self.total_power}")
+        for f in dataclasses.fields(self):
+            rule = f.metadata.get("rule")
+            if rule and not _RULES[rule](getattr(self, f.name)):
+                raise ConfigError(
+                    f"{f.metadata['key']} must be {rule}, got {getattr(self, f.name)}")
+        if self.r_max < self.r_min:
+            raise ConfigError(f"xl.r_max must be >= xl.r_min = {self.r_min}, got {self.r_max}")
+        # the same tolerance as xlmimo.vr_mask_chain
+        if not np.isclose(self.p0 + self.p1, 1.0):
+            raise ConfigError(f"xl.p0 + xl.p1 must equal 1, got {self.p0 + self.p1}")
         if len(self.curves) > 3:
             raise ConfigError("at most 3 curve parameters are supported")
         if self.xl_scheme not in xlmimo.CLUSTER_SCHEMES:
@@ -155,9 +161,12 @@ def _parse_scalar(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return text
+    if not np.isfinite(value):
+        raise ConfigError(f"non-finite grid value '{text}'")
+    return value
 
 
 def parse_grid(text: str) -> Grid:
@@ -173,7 +182,7 @@ def parse_grid(text: str) -> Grid:
             start, step, stop = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"non-numeric range grid '{text}'") from None
-        if step <= 0 or stop < start:
+        if not np.all(np.isfinite([start, step, stop])) or step <= 0 or stop < start:
             raise ConfigError(f"invalid range grid '{text}'")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         vals = start + step * np.arange(n)
@@ -205,7 +214,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"unknown key '{key}'")
             slot = sweeps.setdefault(head, {})
             if key.endswith(".grid"):
-                slot["grid"] = parse_grid(value)
+                try:
+                    slot["grid"] = parse_grid(value)
+                except ConfigError as e:
+                    raise ConfigError(f"key '{key}': {e}") from None
             else:
                 slot["param"] = value
             continue
@@ -218,6 +230,8 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise ConfigError(f"key '{key}' expects {expected}, got '{value}'") from None
+        if kind is float and not np.isfinite(kwargs[fld.name]):
+            raise ConfigError(f"key '{key}' expects a finite number, got '{value}'")
 
     for name in ("model", "metric"):
         if name not in kwargs:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParam, ZeroVector
+from .errors import InvalidMatrix, InvalidParam, ZeroVector
 from .linalg import log2_det_ipm, psd_eigvals
 
 
@@ -20,16 +20,15 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def capacity_single(h: np.ndarray, eta: float, m: int) -> float:
+def capacity_single(h: np.ndarray, eta: float) -> float:
     """log2 det(I + (eta/M) H H^H) for one channel draw, eigenvalue domain.
 
+    ``h`` is M x K, or a length-M vector for one user; M is its row count.
     Uses the K x K Gram matrix when K < M; the nonzero eigenvalues of
     H H^H and H^H H coincide so the smaller problem gives the same value.
     """
     if eta < 0:
         raise InvalidParam(f"SNR must be >= 0, got {eta}")
-    if m < 1:
-        raise InvalidParam(f"antenna count must be >= 1, got {m}")
     h = np.asarray(h, dtype=complex)
     if h.ndim == 1:
         h = h[:, None]
@@ -39,16 +38,18 @@ def capacity_single(h: np.ndarray, eta: float, m: int) -> float:
         gram = h.conj().T @ h
     else:
         gram = h @ h.conj().T
-    return log2_det_ipm(gram, eta / m)
+    return log2_det_ipm(gram, eta / h.shape[0])
 
 
-def capacity_ub(r: np.ndarray, eta: float, m: int) -> float:
-    """Jensen upper bound log2 det(I + (eta/M) R) from the correlation matrix."""
+def capacity_ub(r: np.ndarray, eta: float) -> float:
+    """Jensen upper bound log2 det(I + (eta/M) R), M the row count of ``r``."""
     if eta < 0:
         raise InvalidParam(f"SNR must be >= 0, got {eta}")
-    if m < 1:
-        raise InvalidParam(f"antenna count must be >= 1, got {m}")
-    return log2_det_ipm(r, eta / m)
+    r = np.asarray(r)
+    # M must exist before log2_det_ipm validates the matrix.
+    if r.ndim != 2 or r.shape[0] < 1:
+        raise InvalidMatrix(f"expected a 2-D matrix, got shape {r.shape}")
+    return log2_det_ipm(r, eta / r.shape[0])
 
 
 def sinr_per_user(h: np.ndarray, w: np.ndarray, sigma2: float) -> np.ndarray:

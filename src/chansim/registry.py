@@ -74,7 +74,7 @@ def _exponential(cfg, rng):
 
 def _uncorrelated(cfg, rng):
     f = cbsm.draw_shadowing(cfg.m, cfg.sigma_shad, rng)
-    return cbsm.uncorrelated_with_shadowing(cfg.m, cfg.beta, f)
+    return cbsm.uncorrelated_with_shadowing(cfg.beta, f)
 
 
 def _exponential_shadow(cfg, rng):
@@ -187,13 +187,13 @@ def xl_scenario(cfg, rng: np.random.Generator) -> xlmimo.XlScenario:
 
 def _capacity_ub(cfg, rng, scenario):
     eta = metrics.db_to_linear(cfg.snr_db)
-    return metrics.capacity_ub(build_correlation(cfg, rng), eta, cfg.m)
+    return metrics.capacity_ub(build_correlation(cfg, rng), eta)
 
 
 def _ergodic_capacity(cfg, rng, scenario):
     eta = metrics.db_to_linear(cfg.snr_db)
     (h,) = _channels(cfg, rng, 1, iid_gain=np.sqrt(cfg.beta))
-    return metrics.capacity_single(h, eta, cfg.m)
+    return metrics.capacity_single(h, eta)
 
 
 def _condition_number(cfg, rng, scenario):

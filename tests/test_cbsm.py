@@ -70,12 +70,12 @@ def test_shadowing_amplitude_mean():
 
 
 def test_uncorrelated_zero_shadowing():
-    r = uncorrelated_with_shadowing(3, 2.0, np.zeros(3))
+    r = uncorrelated_with_shadowing(2.0, np.zeros(3))
     assert np.array_equal(r, 2.0 * np.eye(3))
 
 
 def test_uncorrelated_direct_values():
-    r = uncorrelated_with_shadowing(2, 1.0, np.array([10.0, -10.0]))
+    r = uncorrelated_with_shadowing(1.0, np.array([10.0, -10.0]))
     assert np.allclose(r, np.diag([10.0, 0.1]))
 
 
@@ -86,7 +86,7 @@ def test_uncorrelated_mean_diag_entry():
     n = 2000
     for _ in range(n):
         f = draw_shadowing(16, 10.0, rng)
-        acc += np.diag(uncorrelated_with_shadowing(16, beta, f)).mean()
+        acc += np.diag(uncorrelated_with_shadowing(beta, f)).mean()
     assert abs(acc / n - 14.2 * beta) < 1.0 * beta
 
 
@@ -141,7 +141,8 @@ def test_shadowed_capacity_increases_with_m_near_full_correlation():
 
 
 def test_shadow_draw_length_checked():
-    with pytest.raises(InvalidParam):
-        uncorrelated_with_shadowing(4, 1.0, np.zeros(3))
+    # np.diag would read the diagonal of a 2-D f rather than build a matrix
+    with pytest.raises(InvalidParam, match="1-D"):
+        uncorrelated_with_shadowing(1.0, np.zeros((4, 4)))
     with pytest.raises(InvalidParam):
         exponential_with_shadowing(ExponentialSpec(m=4, rho=0.5), np.zeros(5))

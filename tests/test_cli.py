@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from chansim import cli, runner
+
 CONFIG = """
 model = exponential
 metric = capacity_ub
@@ -116,14 +118,52 @@ sweep.grid = 35
     (XL.replace("param = d1", "param = num_users").replace("= 35", "= 2,0"),
      "{'num_users': 0}: xl.users", ()),
     (XL + "xl.total_power = -1\n", "xl.total_power", ()),
+    (CONFIG.replace("geometry.m = 10", "geometry.m = 0"), "geometry.m", ()),
+    (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "16,0"),
+     "{'m': 0}: geometry.m", ()),
+    (CONFIG + "geometry.d_h = -0.5\n", "geometry.d_h", ()),
+    (CONFIG + "geometry.d_v = -0.5\n", "geometry.d_v", ()),
+    (XL + "xl.clusters_per_user = 0\n", "xl.clusters_per_user", ()),
+    (XL.replace("sinr", "vr_stats") + "xl.vr_antennas = 0\n", "xl.vr_antennas", ()),
+    (XL + "xl.r_min = 0\n", "xl.r_min", ()),
+    (XL + "xl.r_min = 20\n", "xl.r_max", ()),
+    (XL + "xl.p0 = 2\n", "xl.p0", ()),
+    (XL.replace("sinr", "vr_stats") + "xl.p0 = 1.2\nxl.p1 = -0.2\n", "xl.p0", ()),
+    (XL + "xl.p0 = 0.5\n", "xl.p0 + xl.p1", ()),
+    (XL + "xl.c = -1\n", "xl.c", ()),
+    (XL + "xl.d2 = 0\n", "xl.d2", ()),
+    (CONFIG + "snr_db = nan\n", "'snr_db'", ()),
+    (XL + "xl.total_power = inf\n", "'xl.total_power'", ()),
+    (CONFIG.replace("0,0.5", "0:nan:1"), "'sweep.grid'", ()),
+    (CONFIG.replace("0,0.5", "0:0.5:inf"), "'sweep.grid'", ()),
+    (CONFIG.replace("0,0.5", "0,inf"), "'sweep.grid'", ()),
 ], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad", "seed", "seed_option",
-        "users", "num_users_grid", "total_power"])
+        "users", "num_users_grid", "total_power", "m", "m_grid_zero", "d_h", "d_v",
+        "clusters_per_user", "vr_antennas", "r_min", "r_max", "p0", "p0_p1_outside",
+        "p0_p1_sum", "c", "d2", "snr_nan", "total_power_inf", "range_nan", "range_inf",
+        "list_inf"])
 def test_invalid_value_exit_2(tmp_path, text, named, args):
     cfg = tmp_path / "c.txt"
     cfg.write_text(text)
     proc = run_cli("run", "--config", str(cfg), *args)
     assert proc.returncode == 2
     assert named in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_bad_m_grid_fails_before_any_trial(monkeypatch, tmp_path, capsys):
+    calls = []
+    trial = runner.trial_value
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return trial(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "trial_value", counting)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(CONFIG.replace("param = rho", "param = m").replace("0,0.5", "16,0"))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "{'m': 0}: geometry.m must be >= 1" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_missing_config_exit_4():

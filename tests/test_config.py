@@ -78,6 +78,25 @@ def test_grid_bad_range():
         parse_grid("a:b:c")
 
 
+@pytest.mark.parametrize("line, key", [
+    ("snr_db = nan", "'snr_db'"),
+    ("model.rho = -inf", "'model.rho'"),
+    ("xl.total_power = 1e400", "'xl.total_power'"),
+    ("sweep.grid = 0,nan", "'sweep.grid'"),
+    ("sweep.grid = 0,inf", "'sweep.grid'"),
+    ("sweep.grid = 0:nan:1", "'sweep.grid'"),
+    ("sweep.grid = 0:0.5:inf", "'sweep.grid'"),
+    ("sweep.grid = -inf:1:0", "'sweep.grid'"),
+])
+def test_non_finite_numbers_rejected(line, key):
+    if line.startswith("sweep.grid"):
+        doc = MINIMAL.replace("sweep.grid = 0:0.2:1", line)
+    else:
+        doc = MINIMAL + line + "\n"
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
+
+
 def test_comments_and_blank_lines():
     cfg = parse_config("# header\n\n" + MINIMAL + "trials = 5  # inline\n")
     assert cfg.trials == 5

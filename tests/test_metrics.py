@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from chansim import linalg
 from chansim.cbsm import ExponentialSpec, exponential_correlation
-from chansim.errors import InvalidParam, ZeroVector
+from chansim.errors import InvalidMatrix, InvalidParam, ZeroVector
 from chansim.gbsm import AngularSpec, UlaGeometry, onering_ula
 from chansim.linalg import complex_gaussian, psd_sqrt, sample_correlated
 from chansim.metrics import (capacity_single, capacity_ub, correlation_coefficient,
@@ -18,12 +19,12 @@ def test_db_to_linear():
 
 def test_capacity_scalar_channel():
     eta = 10.0
-    assert np.isclose(capacity_single(np.array([1.0 + 0j]), eta, 1),
+    assert np.isclose(capacity_single(np.array([1.0 + 0j]), eta),
                       np.log2(1 + eta))
 
 
 def test_capacity_zero_channel():
-    assert capacity_single(np.zeros((4, 2)), 10.0, 4) == 0.0
+    assert capacity_single(np.zeros((4, 2)), 10.0) == 0.0
 
 
 def test_ergodic_capacity_matches_bruteforce():
@@ -31,28 +32,48 @@ def test_ergodic_capacity_matches_bruteforce():
     rng = np.random.default_rng(0)
     eta, m = 10.0, 4
     draws = [complex_gaussian((m, m), rng) for _ in range(4000)]
-    est = np.mean([capacity_single(h, eta, m) for h in draws])
+    est = np.mean([capacity_single(h, eta) for h in draws])
     oracle = np.mean([np.log2(np.linalg.det(np.eye(m) + (eta / m) * h @ h.conj().T).real)
                       for h in draws])
     assert abs(est - oracle) / oracle < 1e-12
     # against an independent large-sample mean
     rng2 = np.random.default_rng(1)
-    big = np.mean([capacity_single(complex_gaussian((m, m), rng2), eta, m)
+    big = np.mean([capacity_single(complex_gaussian((m, m), rng2), eta)
                    for _ in range(100_000)])
     assert abs(est - big) / big < 0.01
 
 
 def test_capacity_ub_anchors():
     eta, m = 1e6, 100
-    assert np.isclose(capacity_ub(np.eye(m), eta, m), m * np.log2(1 + eta / m),
+    assert np.isclose(capacity_ub(np.eye(m), eta), m * np.log2(1 + eta / m),
                       rtol=1e-9)
-    assert np.isclose(capacity_ub(np.ones((m, m)), eta, m), np.log2(1 + eta),
+    assert np.isclose(capacity_ub(np.ones((m, m)), eta), np.log2(1 + eta),
                       rtol=1e-9)
+
+
+@pytest.mark.parametrize("r", [np.array(2.0), np.ones(3), np.zeros((0, 0))],
+                         ids=["0-d", "1-D", "0x0"])
+def test_capacity_ub_rejects_non_matrix(r):
+    with pytest.raises(InvalidMatrix):
+        capacity_ub(r, 10.0)
+
+
+def test_capacity_ub_checks_hermitian_once(monkeypatch):
+    calls = []
+    check = linalg.check_hermitian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "check_hermitian", counting)
+    capacity_ub(np.eye(4), 10.0)
+    assert calls == [1]
 
 
 def test_capacity_ub_exponential_ordering():
     eta, m = 1e6, 100
-    caps = [capacity_ub(exponential_correlation(ExponentialSpec(m=m, rho=r)), eta, m)
+    caps = [capacity_ub(exponential_correlation(ExponentialSpec(m=m, rho=r)), eta)
             for r in (0.0, 0.6, 0.8, 1.0)]
     assert caps[0] > caps[1] > caps[2] > caps[3]
     assert (caps[2] - caps[3]) > (caps[0] - caps[1])
@@ -65,10 +86,10 @@ def test_jensen_bound():
               onering_ula(UlaGeometry(m=m), AngularSpec(phi=0.5,
                                                         delta_phi=np.radians(10)))):
         s = psd_sqrt(r)
-        caps = [capacity_single(sample_correlated(s, rng), eta, m)
+        caps = [capacity_single(sample_correlated(s, rng), eta)
                 for _ in range(10_000)]
         mean, se = mean_with_stderr(caps)
-        assert mean <= capacity_ub(r, eta, m) + 2 * se
+        assert mean <= capacity_ub(r, eta) + 2 * se
 
 
 def test_sinr_single_user_no_interference():

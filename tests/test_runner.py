@@ -9,7 +9,7 @@ from chansim.errors import IoError, RankDeficient
 from chansim.presets import preset
 from chansim.registry import METRICS, MODELS, build_correlation
 from chansim.runner import RunResult, emit_csv, run_experiment, trial_value
-from chansim.metrics import db_to_linear
+from chansim.metrics import capacity_ub, db_to_linear
 
 SMALL = """
 model = exponential
@@ -185,3 +185,19 @@ def test_run_result_finite():
     for row in res.rows:
         assert all(np.isfinite(v) for v in row[1:])
     assert isinstance(res, RunResult)
+
+
+def test_planar_capacity_sized_by_the_array():
+    # a 4 x 8 array has M = 32 antennas, whatever geometry.m says
+    base = parse_config(SMALL.replace("exponential", "onering_upa")
+                        + "geometry.m_h = 4\ngeometry.m_v = 8\n")
+    bounds, ergodic = set(), set()
+    for m in (7, 32, 100):
+        cfg = dataclasses.replace(base, m=m)
+        bounds.add(trial_value(cfg, np.random.default_rng(0)))
+        cfg = dataclasses.replace(cfg, metric="ergodic_capacity")
+        ergodic.add(trial_value(cfg, np.random.default_rng(0)))
+    assert len(bounds) == 1 and len(ergodic) == 1
+    r = build_correlation(base, np.random.default_rng(0))
+    assert r.shape == (32, 32)
+    assert bounds == {capacity_ub(r, db_to_linear(base.snr_db))}
