@@ -22,7 +22,7 @@ def main():
     print("capacity upper bound vs correlation factor (M=%d, 60 dB)" % M)
     print("rho,capacity_bits")
     for rho in np.arange(0.0, 1.01, 0.1):
-        r = cbsm.exponential_correlation(cbsm.ExponentialSpec(m=M, rho=rho))
+        r = cbsm.exponential_correlation(M, rho)
         print("%.1f,%.2f" % (rho, metrics.capacity_ub(r, ETA)))
 
     # Shadowing makes the matrix random, so we average the bound over

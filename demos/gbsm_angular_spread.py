@@ -23,8 +23,7 @@ def main():
     print("one-ring capacity bound vs angular spread (phi=30deg)")
     print("delta_deg,capacity_bits,condition_number")
     for delta in (1, 5, 10, 20, 30, 45):
-        ang = gbsm.AngularSpec(phi=np.radians(30), delta_phi=np.radians(delta))
-        r = gbsm.onering_ula(geom, ang)
+        r = gbsm.onering_ula(geom, phi=np.radians(30), delta_phi=np.radians(delta))
         print("%d,%.2f,%.3g" % (delta, metrics.capacity_ub(r, ETA),
                                 linalg.condition_number(r)))
 
@@ -32,8 +31,7 @@ def main():
     print("arrival-angle dependence at delta=30deg")
     print("phi_deg,capacity_bits")
     for phi in (0, 30, 60, 90):
-        ang = gbsm.AngularSpec(phi=np.radians(phi), delta_phi=np.radians(30))
-        r = gbsm.onering_ula(geom, ang)
+        r = gbsm.onering_ula(geom, phi=np.radians(phi), delta_phi=np.radians(30))
         print("%d,%.2f" % (phi, metrics.capacity_ub(r, ETA)))
 
     # Gaussian scattering: the closed form is a small-angle approximation,
@@ -43,9 +41,11 @@ def main():
     print("sigma_phi_deg,closed_bits,numeric_bits")
     quad = gbsm.QuadratureConfig(nodes_per_dim=401)   # wide +-6 sigma window
     for sigma in (2, 5, 10):
-        ang = gbsm.AngularSpec(phi=np.radians(30), sigma_phi=np.radians(sigma))
-        c_closed = metrics.capacity_ub(gbsm.gaussian_ula_closed(geom, ang), ETA)
-        c_num = metrics.capacity_ub(gbsm.gaussian_ula_numeric(geom, ang, quad), ETA)
+        phi, sigma_phi = np.radians(30), np.radians(sigma)
+        r_closed = gbsm.gaussian_ula_closed(geom, phi=phi, sigma_phi=sigma_phi)
+        r_num = gbsm.gaussian_ula_numeric(geom, phi=phi, sigma_phi=sigma_phi, quad=quad)
+        c_closed = metrics.capacity_ub(r_closed, ETA)
+        c_num = metrics.capacity_ub(r_num, ETA)
         print("%d,%.2f,%.2f" % (sigma, c_closed, c_num))
 
 

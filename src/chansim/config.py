@@ -39,6 +39,9 @@ class SweepSpec:
             if isinstance(default, (int, float)) and isinstance(value, str):
                 raise ConfigError(
                     f"sweep parameter '{self.param}' expects numbers, got '{value}'")
+            if isinstance(default, int) and not float(value).is_integer():
+                raise ConfigError(
+                    f"sweep parameter '{self.param}' expects integers, got {value}")
 
 
 # Range rule of a numeric field -> the test its value must pass.
@@ -79,23 +82,25 @@ class ExperimentConfig:
     workers: int = _key("workers", 1, rule=">= 1")
     # array geometry; m_h = 0 means a linear array
     m: int = _key("geometry.m", 100, sweep="m", rule=">= 1")
-    m_h: int = _key("geometry.m_h", 0)
-    m_v: int = _key("geometry.m_v", 0)
+    m_h: int = _key("geometry.m_h", 0, rule=">= 0")
+    m_v: int = _key("geometry.m_v", 0, rule=">= 0")
     d_h: float = _key("geometry.d_h", 0.5, sweep="d_h", rule=">= 0")
     d_v: float = _key("geometry.d_v", 0.5, sweep="d_v", rule=">= 0")
     # correlation-model parameters (angles in degrees)
-    rho: float = _key("model.rho", 0.5, sweep="rho")
-    beta: float = _key("model.beta", 1.0, sweep="beta")
+    rho: float = _key("model.rho", 0.5, sweep="rho", rule="in [0, 1]")
+    beta: float = _key("model.beta", 1.0, sweep="beta", rule=">= 0")
     sigma_shad: float = _key("model.sigma_shad", 0.0, sweep="sigma_shad", rule=">= 0")
     theta_deg: float = _key("model.theta_deg", 0.0, sweep="theta")
     phi_deg: float = _key("model.phi_deg", 30.0, sweep="phi")
-    delta_deg: float = _key("model.delta_deg", 10.0, sweep="delta")
-    sigma_phi_deg: float = _key("model.sigma_phi_deg", 10.0, sweep="sigma_phi")
+    delta_deg: float = _key("model.delta_deg", 10.0, sweep="delta", rule=">= 0")
+    sigma_phi_deg: float = _key("model.sigma_phi_deg", 10.0, sweep="sigma_phi", rule=">= 0")
     theta_el_deg: float = _key("model.theta_el_deg", 0.0, sweep="theta_el")
-    delta_theta_deg: float = _key("model.delta_theta_deg", 15.0, sweep="delta_theta")
-    sigma_theta_deg: float = _key("model.sigma_theta_deg", 15.0, sweep="sigma_theta")
+    delta_theta_deg: float = _key("model.delta_theta_deg", 15.0, sweep="delta_theta",
+                                  rule=">= 0")
+    sigma_theta_deg: float = _key("model.sigma_theta_deg", 15.0, sweep="sigma_theta",
+                                  rule=">= 0")
     num_scatterers: int = _key("model.num_scatterers", 1, rule=">= 1")
-    svd_index: int = _key("model.svd_index", 0)
+    svd_index: int = _key("model.svd_index", 0, rule=">= 0")
     # XL-MIMO scenario parameters
     xl_scheme: str = _key("xl.scheme", "scheme1", sweep="scheme")
     num_users: int = _key("xl.users", 10, sweep="num_users", rule=">= 1")
@@ -113,7 +118,7 @@ class ExperimentConfig:
     r_max: float = _key("xl.r_max", 10.0)
     vr_antennas: int = _key("xl.vr_antennas", 33, sweep="vr_antennas", rule=">= 1")
     # 1 = draw scenario geometry once per sweep point instead of per trial
-    freeze_geometry: int = _key("xl.freeze_geometry", 0)
+    freeze_geometry: int = _key("xl.freeze_geometry", 0, rule="in [0, 1]")
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -285,7 +290,8 @@ def apply_point(cfg: ExperimentConfig, assignment: dict) -> ExperimentConfig:
     for param, value in assignment.items():
         fld = SWEEPABLE[param]
         current = getattr(cfg, fld)
+        # SweepSpec admits only whole numbers for an integer field.
         if isinstance(current, int) and not isinstance(value, str):
-            value = int(round(value))
+            value = int(value)
         updates[fld] = value
     return dataclasses.replace(cfg, **updates)

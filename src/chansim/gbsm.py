@@ -8,8 +8,9 @@ weights, so the output is Hermitian PSD by construction.  The ULA builders
 form that product directly; the UPA builder takes the same sum once per
 grid-index lag and gathers the M x M matrix from the lag table.
 
-All angles are radians.  Degree-valued user input is converted at the
-configuration boundary, not here.
+Each builder takes exactly the angles and gain its model reads, as keyword
+arguments.  All angles are radians.  Degree-valued user input is converted
+at the configuration boundary, not here.
 """
 
 from __future__ import annotations
@@ -65,34 +66,6 @@ class UpaGeometry:
 
 
 @dataclass(frozen=True)
-class AngularSpec:
-    """Angular parameters of a scattering model.
-
-    ``phi`` / ``theta`` are the nominal azimuth / elevation AoA.  Uniform
-    spreads use the half-widths ``delta_phi`` / ``delta_theta``; Gaussian
-    scattering uses the angular standard deviations ``sigma_phi`` /
-    ``sigma_theta``.  Shadowing and scatterer directions are not part of
-    the spec: the shadowed Gaussian model takes the drawn shadow vector
-    and scatterer angles as arguments.
-    """
-
-    phi: float = 0.0
-    theta: float = 0.0
-    delta_phi: float = 0.0
-    delta_theta: float = 0.0
-    sigma_phi: float = 0.0
-    sigma_theta: float = 0.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        for name in ("delta_phi", "delta_theta", "sigma_phi", "sigma_theta"):
-            if getattr(self, name) < 0:
-                raise InvalidParam(f"{name} must be >= 0")
-        if self.beta < 0:
-            raise InvalidParam(f"beta must be >= 0, got {self.beta}")
-
-
-@dataclass(frozen=True)
 class QuadratureConfig:
     """Gauss-Legendre node count per dimension.
 
@@ -113,6 +86,14 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
+
+
+def _check_nonnegative(beta: float, **spreads: float):
+    for name, value in spreads.items():
+        if value < 0:
+            raise InvalidParam(f"{name} must be >= 0")
+    if beta < 0:
+        raise InvalidParam(f"beta must be >= 0, got {beta}")
 
 
 def _warn_if_coarse(nodes: int, spread: float, d_h: float, m: int):
@@ -137,16 +118,17 @@ def _ula_from_angles(geom: UlaGeometry, angles: np.ndarray, weights: np.ndarray,
     return beta * r
 
 
-def onering_ula(geom: UlaGeometry, ang: AngularSpec,
+def onering_ula(geom: UlaGeometry, *, phi: float, delta_phi: float, beta: float = 1.0,
                 quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """One-ring correlation for a ULA: arrival angles uniform in [phi-Delta, phi+Delta]."""
-    if ang.delta_phi == 0:
+    _check_nonnegative(beta, delta_phi=delta_phi)
+    if delta_phi == 0:
         # zero spread: single plane wave from phi, rank-1 correlation
-        return _ula_from_angles(geom, np.array([ang.phi]), np.array([1.0]), ang.beta)
-    _warn_if_coarse(quad.nodes_per_dim, ang.delta_phi, geom.d_h, geom.m)
+        return _ula_from_angles(geom, np.array([phi]), np.array([1.0]), beta)
+    _warn_if_coarse(quad.nodes_per_dim, delta_phi, geom.d_h, geom.m)
     x, w = _leggauss(quad.nodes_per_dim)
     # (1 / 2 Delta) * integral over [-Delta, Delta]: the Delta scale cancels.
-    return _ula_from_angles(geom, ang.phi + ang.delta_phi * x, w / 2.0, ang.beta)
+    return _ula_from_angles(geom, phi + delta_phi * x, w / 2.0, beta)
 
 
 def _truncated_gaussian_nodes(sigma: float, quad: QuadratureConfig):
@@ -158,22 +140,24 @@ def _truncated_gaussian_nodes(sigma: float, quad: QuadratureConfig):
     return delta, weights / weights.sum()
 
 
-def gaussian_ula_numeric(geom: UlaGeometry, ang: AngularSpec,
+def gaussian_ula_numeric(geom: UlaGeometry, *, phi: float, sigma_phi: float, beta: float = 1.0,
                          quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """Gaussian local scattering for a ULA, by quadrature of the angular integral.
 
     The infinite integral is truncated at +/- GAUSSIAN_TRUNCATION * sigma
     and the weights renormalized, so the diagonal equals beta exactly.
     """
-    if ang.sigma_phi == 0:
-        return _ula_from_angles(geom, np.array([ang.phi]), np.array([1.0]), ang.beta)
-    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * ang.sigma_phi,
+    _check_nonnegative(beta, sigma_phi=sigma_phi)
+    if sigma_phi == 0:
+        return _ula_from_angles(geom, np.array([phi]), np.array([1.0]), beta)
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_phi,
                     geom.d_h, geom.m)
-    delta, weights = _truncated_gaussian_nodes(ang.sigma_phi, quad)
-    return _ula_from_angles(geom, ang.phi + delta, weights, ang.beta)
+    delta, weights = _truncated_gaussian_nodes(sigma_phi, quad)
+    return _ula_from_angles(geom, phi + delta, weights, beta)
 
 
-def gaussian_ula_closed(geom: UlaGeometry, ang: AngularSpec) -> np.ndarray:
+def gaussian_ula_closed(geom: UlaGeometry, *, phi: float, sigma_phi: float,
+                        beta: float = 1.0) -> np.ndarray:
     """Closed-form small-ASD approximation of the Gaussian ULA correlation.
 
     Valid for angular standard deviations below about 15 degrees; larger
@@ -188,25 +172,27 @@ def gaussian_ula_closed(geom: UlaGeometry, ang: AngularSpec) -> np.ndarray:
     phi = 30 degrees; 0.6% and 13% at sigma = 10 degrees with phi = 0 and
     phi = 60 degrees.
     """
-    if ang.sigma_phi > CLOSED_FORM_MAX_ASD:
+    if sigma_phi > CLOSED_FORM_MAX_ASD:
         warnings.warn(
-            f"closed form is inaccurate for ASD {np.degrees(ang.sigma_phi):.1f} deg "
+            f"closed form is inaccurate for ASD {np.degrees(sigma_phi):.1f} deg "
             "(validity bound 15 deg)",
             ValidityWarning,
             stacklevel=2,
         )
-    return gaussian_ula_shadowed(geom, ang, np.zeros(geom.m), np.array([ang.phi]))
+    return gaussian_ula_shadowed(geom, np.zeros(geom.m), np.array([phi]),
+                                 sigma_phi=sigma_phi, beta=beta)
 
 
-def gaussian_ula_shadowed(geom: UlaGeometry, ang: AngularSpec, f: np.ndarray,
-                          nominal_angles: np.ndarray) -> np.ndarray:
+def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.ndarray,
+                          *, sigma_phi: float, beta: float = 1.0) -> np.ndarray:
     """Gaussian ULA correlation with shadowing and S scatterer directions.
 
     Entry (m, n) is beta * 10^((f_m+f_n)/10) times the average over the S
     scatterers of the closed-form Gaussian kernel at each scatterer's
-    nominal angle.  With f = 0 and a single scatterer at phi this reduces
-    to :func:`gaussian_ula_closed`.
+    nominal angle; the scatterer angles take the place of phi.  With f = 0
+    and a single scatterer at phi this reduces to :func:`gaussian_ula_closed`.
     """
+    _check_nonnegative(beta, sigma_phi=sigma_phi)
     f = np.asarray(f, dtype=float)
     if f.shape != (geom.m,):
         raise InvalidParam(f"shadow draw must have length {geom.m}, got shape {f.shape}")
@@ -218,12 +204,12 @@ def gaussian_ula_shadowed(geom: UlaGeometry, ang: AngularSpec, f: np.ndarray,
     acc = np.zeros((geom.m, geom.m), dtype=complex)
     for phi_s in phis:
         phase = np.exp(2j * np.pi * geom.d_h * diff * np.sin(phi_s))
-        damp = np.exp(-(ang.sigma_phi**2 / 2.0)
+        damp = np.exp(-(sigma_phi**2 / 2.0)
                       * (2.0 * np.pi * geom.d_h * diff * np.cos(phi_s)) ** 2)
         acc += phase * damp
     # Without shadowing every entry of the M x M power is exactly 1; skip it.
     shad = 10.0 ** ((f[:, None] + f[None, :]) / 10.0) if np.any(f) else 1.0
-    return ang.beta * shad * acc / phis.size
+    return beta * shad * acc / phis.size
 
 
 def draw_scatterer_angles(s: int, rng: np.random.Generator) -> np.ndarray:
@@ -284,21 +270,24 @@ def _upa_from_angles(geom: UpaGeometry, az: np.ndarray, el: np.ndarray,
     return beta * r
 
 
-def onering_upa(geom: UpaGeometry, ang: AngularSpec,
+def onering_upa(geom: UpaGeometry, *, phi: float, theta: float, delta_phi: float,
+                delta_theta: float, beta: float = 1.0,
                 quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """3-D one-ring correlation for a UPA (uniform azimuth and elevation spreads)."""
-    if ang.delta_phi <= 0 or ang.delta_theta <= 0:
+    _check_nonnegative(beta, delta_phi=delta_phi, delta_theta=delta_theta)
+    if delta_phi <= 0 or delta_theta <= 0:
         raise InvalidParam("UPA one-ring model needs delta_phi > 0 and delta_theta > 0")
-    _warn_if_coarse(quad.nodes_per_dim, ang.delta_phi, geom.d_h, geom.m_h)
-    _warn_if_coarse(quad.nodes_per_dim, ang.delta_theta, geom.d_v, geom.m_v)
+    _warn_if_coarse(quad.nodes_per_dim, delta_phi, geom.d_h, geom.m_h)
+    _warn_if_coarse(quad.nodes_per_dim, delta_theta, geom.d_v, geom.m_v)
     x, w = _leggauss(quad.nodes_per_dim)
-    az = ang.phi + ang.delta_phi * x
-    el = ang.theta + ang.delta_theta * x
+    az = phi + delta_phi * x
+    el = theta + delta_theta * x
     w_g = np.outer(w, w) / 4.0  # (1 / 4 Delta_phi Delta_theta) absorbs both scales
-    return _upa_from_angles(geom, az, el, w_g, ang.beta)
+    return _upa_from_angles(geom, az, el, w_g, beta)
 
 
-def gaussian_upa(geom: UpaGeometry, ang: AngularSpec,
+def gaussian_upa(geom: UpaGeometry, *, phi: float, theta: float, sigma_phi: float,
+                 sigma_theta: float, beta: float = 1.0,
                  quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """3-D Gaussian local scattering for a UPA.
 
@@ -306,13 +295,14 @@ def gaussian_upa(geom: UpaGeometry, ang: AngularSpec,
     (the decaying-exponent convention, matching the 2-D Gaussian model),
     truncated at +/- GAUSSIAN_TRUNCATION * sigma per axis and renormalized.
     """
-    if ang.sigma_phi <= 0 or ang.sigma_theta <= 0:
+    _check_nonnegative(beta, sigma_phi=sigma_phi, sigma_theta=sigma_theta)
+    if sigma_phi <= 0 or sigma_theta <= 0:
         raise InvalidParam("UPA Gaussian model needs sigma_phi > 0 and sigma_theta > 0")
-    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * ang.sigma_phi,
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_phi,
                     geom.d_h, geom.m_h)
-    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * ang.sigma_theta,
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_theta,
                     geom.d_v, geom.m_v)
-    d_az, w_az = _truncated_gaussian_nodes(ang.sigma_phi, quad)
-    d_el, w_el = _truncated_gaussian_nodes(ang.sigma_theta, quad)
-    return _upa_from_angles(geom, ang.phi + d_az, ang.theta + d_el,
-                            np.outer(w_az, w_el), ang.beta)
+    d_az, w_az = _truncated_gaussian_nodes(sigma_phi, quad)
+    d_el, w_el = _truncated_gaussian_nodes(sigma_theta, quad)
+    return _upa_from_angles(geom, phi + d_az, theta + d_el,
+                            np.outer(w_az, w_el), beta)

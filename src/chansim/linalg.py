@@ -111,8 +111,7 @@ def sample_correlated(sqrt_factor: np.ndarray, rng: np.random.Generator) -> np.n
     s = _check_finite(sqrt_factor)
     if s.shape[0] != s.shape[1]:
         raise InvalidMatrix("square-root factor must be square")
-    m = s.shape[0]
-    z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
+    z = complex_gaussian(s.shape[0], rng)
     return s @ z
 
 

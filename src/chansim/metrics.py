@@ -32,6 +32,8 @@ def capacity_single(h: np.ndarray, eta: float) -> float:
     h = np.asarray(h, dtype=complex)
     if h.ndim == 1:
         h = h[:, None]
+    if h.ndim != 2:
+        raise InvalidMatrix(f"expected a vector or a 2-D matrix, got shape {h.shape}")
     if not np.any(h):
         return 0.0
     if h.shape[1] <= h.shape[0]:

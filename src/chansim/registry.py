@@ -57,19 +57,12 @@ def _upa_geometry(cfg) -> gbsm.UpaGeometry:
     return gbsm.UpaGeometry(m_h=side, m_v=side, d_h=cfg.d_h, d_v=cfg.d_v)
 
 
-def _angles(cfg, **degrees) -> gbsm.AngularSpec:
-    """The configured azimuth and gain, plus the given angles in degrees."""
-    radians = {name: np.radians(value) for name, value in degrees.items()}
-    return gbsm.AngularSpec(phi=np.radians(cfg.phi_deg), beta=cfg.beta, **radians)
-
-
 def _iid(cfg, rng):
     return cfg.beta * np.eye(cfg.m)
 
 
 def _exponential(cfg, rng):
-    return cfg.beta * cbsm.exponential_correlation(
-        cbsm.ExponentialSpec(m=cfg.m, rho=cfg.rho))
+    return cfg.beta * cbsm.exponential_correlation(cfg.m, cfg.rho)
 
 
 def _uncorrelated(cfg, rng):
@@ -78,57 +71,62 @@ def _uncorrelated(cfg, rng):
 
 
 def _exponential_shadow(cfg, rng):
-    spec = cbsm.ExponentialSpec(m=cfg.m, rho=cfg.rho,
-                                theta=np.radians(cfg.theta_deg), beta=cfg.beta)
     f = cbsm.draw_shadowing(cfg.m, cfg.sigma_shad, rng)
-    return cbsm.exponential_with_shadowing(spec, f)
+    return cbsm.exponential_with_shadowing(f, cfg.rho, np.radians(cfg.theta_deg), cfg.beta)
 
 
 def _onering_ula(cfg, rng):
     geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-    ang = _angles(cfg, delta_phi=cfg.delta_deg)
-    return gbsm.onering_ula(geom, ang, _quadrature(ang.delta_phi, cfg.d_h, cfg.m))
+    delta_phi = np.radians(cfg.delta_deg)
+    return gbsm.onering_ula(geom, phi=np.radians(cfg.phi_deg), delta_phi=delta_phi,
+                            beta=cfg.beta, quad=_quadrature(delta_phi, cfg.d_h, cfg.m))
 
 
 def _gaussian_ula(cfg, rng):
     geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-    ang = _angles(cfg, sigma_phi=cfg.sigma_phi_deg)
-    quad = _quadrature(gbsm.GAUSSIAN_TRUNCATION * ang.sigma_phi, cfg.d_h, cfg.m)
-    return gbsm.gaussian_ula_numeric(geom, ang, quad)
+    sigma_phi = np.radians(cfg.sigma_phi_deg)
+    quad = _quadrature(gbsm.GAUSSIAN_TRUNCATION * sigma_phi, cfg.d_h, cfg.m)
+    return gbsm.gaussian_ula_numeric(geom, phi=np.radians(cfg.phi_deg), sigma_phi=sigma_phi,
+                                     beta=cfg.beta, quad=quad)
 
 
 def _gaussian_ula_closed(cfg, rng):
     geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-    return gbsm.gaussian_ula_closed(geom, _angles(cfg, sigma_phi=cfg.sigma_phi_deg))
+    return gbsm.gaussian_ula_closed(geom, phi=np.radians(cfg.phi_deg),
+                                    sigma_phi=np.radians(cfg.sigma_phi_deg), beta=cfg.beta)
 
 
 def _gaussian_ula_shadowed(cfg, rng):
     geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
-    ang = _angles(cfg, sigma_phi=cfg.sigma_phi_deg)
     f = cbsm.draw_shadowing(cfg.m, cfg.sigma_shad, rng)
     if cfg.num_scatterers == 1:
-        angles = np.array([ang.phi])
+        angles = np.array([np.radians(cfg.phi_deg)])
     else:
         angles = gbsm.draw_scatterer_angles(cfg.num_scatterers, rng)
-    return gbsm.gaussian_ula_shadowed(geom, ang, f, angles)
+    return gbsm.gaussian_ula_shadowed(geom, f, angles, sigma_phi=np.radians(cfg.sigma_phi_deg),
+                                      beta=cfg.beta)
 
 
 def _onering_upa(cfg, rng):
     geom = _upa_geometry(cfg)
-    ang = _angles(cfg, theta=cfg.theta_el_deg, delta_phi=cfg.delta_deg,
-                  delta_theta=cfg.delta_theta_deg)
-    spread = max(ang.delta_phi, ang.delta_theta)
+    delta_phi = np.radians(cfg.delta_deg)
+    delta_theta = np.radians(cfg.delta_theta_deg)
+    spread = max(delta_phi, delta_theta)
     quad = _quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
-    return gbsm.onering_upa(geom, ang, quad)
+    return gbsm.onering_upa(geom, phi=np.radians(cfg.phi_deg),
+                            theta=np.radians(cfg.theta_el_deg), delta_phi=delta_phi,
+                            delta_theta=delta_theta, beta=cfg.beta, quad=quad)
 
 
 def _gaussian_upa(cfg, rng):
     geom = _upa_geometry(cfg)
-    ang = _angles(cfg, theta=cfg.theta_el_deg, sigma_phi=cfg.sigma_phi_deg,
-                  sigma_theta=cfg.sigma_theta_deg)
-    spread = gbsm.GAUSSIAN_TRUNCATION * max(ang.sigma_phi, ang.sigma_theta)
+    sigma_phi = np.radians(cfg.sigma_phi_deg)
+    sigma_theta = np.radians(cfg.sigma_theta_deg)
+    spread = gbsm.GAUSSIAN_TRUNCATION * max(sigma_phi, sigma_theta)
     quad = _quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
-    return gbsm.gaussian_upa(geom, ang, quad)
+    return gbsm.gaussian_upa(geom, phi=np.radians(cfg.phi_deg),
+                             theta=np.radians(cfg.theta_el_deg), sigma_phi=sigma_phi,
+                             sigma_theta=sigma_theta, beta=cfg.beta, quad=quad)
 
 
 MODELS = {

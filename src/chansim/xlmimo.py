@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cbsm import ExponentialSpec, exponential_correlation
+from .cbsm import exponential_correlation
 from .errors import InvalidParam
-from .gbsm import AngularSpec, QuadratureConfig, UlaGeometry, onering_ula
+from .gbsm import QuadratureConfig, UlaGeometry, onering_ula
 from .linalg import psd_sqrt, complex_gaussian
 
 # Fixed values and accepted kinds of the reference XL scenario.
@@ -291,13 +291,12 @@ def cluster_correlation_matrix(scenario: XlScenario, cluster: Cluster) -> np.nda
     if spec.kind == "uncorrelated":
         return None
     if spec.kind == "exponential":
-        return exponential_correlation(ExponentialSpec(m=m, rho=spec.rho))
+        return exponential_correlation(m, spec.rho)
     positions = antenna_positions(scenario.geometry, DEFAULT_WAVELENGTH)
     vr_center = positions[cluster.vr_center_antenna]
     phi = np.arctan2(cluster.center[0] - vr_center, cluster.center[1])
     geom = UlaGeometry(m=m, d_h=CLUSTER_CORR_SPACING)
-    ang = AngularSpec(phi=phi, delta_phi=spec.delta)
-    return onering_ula(geom, ang, CLUSTER_CORR_QUADRATURE)
+    return onering_ula(geom, phi=phi, delta_phi=spec.delta, quad=CLUSTER_CORR_QUADRATURE)
 
 
 def cluster_channel(beta: np.ndarray, r: np.ndarray | None,

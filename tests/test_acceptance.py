@@ -17,7 +17,7 @@ import scipy.linalg
 
 from chansim import cbsm, gbsm, linalg, metrics, precoding, xlmimo
 from chansim.errors import ChansimError
-from chansim.gbsm import AngularSpec, QuadratureConfig, UlaGeometry, UpaGeometry
+from chansim.gbsm import QuadratureConfig, UlaGeometry, UpaGeometry
 from chansim.presets import preset
 from chansim.runner import emit_csv, run_experiment
 
@@ -64,7 +64,7 @@ def test_criterion_02_capacity_anchors():
 def test_criterion_03_exponential_monotonicity():
     caps = []
     for rho in FIXTURE["exponential_rho"]:
-        r = cbsm.exponential_correlation(cbsm.ExponentialSpec(m=100, rho=rho))
+        r = cbsm.exponential_correlation(100, rho)
         caps.append(metrics.capacity_ub(r, ETA_60DB))
     rel = max(abs(c - ref) / max(ref, 1.0)
               for c, ref in zip(caps, FIXTURE["exponential_capacity"]))
@@ -133,33 +133,31 @@ def test_criterion_04_quadrature_vs_trapezoid():
     diffs = np.arange(4)[:, None] - np.arange(4)[None, :]
 
     phi, delta = 0.4, np.radians(20)
-    r = gbsm.onering_ula(geom, AngularSpec(phi=phi, delta_phi=delta))
+    r = gbsm.onering_ula(geom, phi=phi, delta_phi=delta)
     row = _trapz_ula("onering", np.arange(-3, 4), phi, delta, geom.d_h)
     oracle = row[diffs + 3]
     worst = max(worst, np.abs(r - oracle).max())
 
     phi, sigma = np.pi / 6, np.radians(10)
-    r = gbsm.gaussian_ula_numeric(geom, AngularSpec(phi=phi, sigma_phi=sigma))
+    r = gbsm.gaussian_ula_numeric(geom, phi=phi, sigma_phi=sigma)
     row = _trapz_ula("gaussian", np.arange(-3, 4), phi, sigma, geom.d_h)
     oracle = row[diffs + 3]
     worst = max(worst, np.abs(r - oracle).max())
 
     upa = UpaGeometry(m_h=2, m_v=2)
-    ang = AngularSpec(phi=0.3, theta=0.1, delta_phi=np.radians(20),
-                      delta_theta=np.radians(10))
-    r = gbsm.onering_upa(upa, ang)
+    phi, theta, delta_phi, delta_theta = 0.3, 0.1, np.radians(20), np.radians(10)
+    r = gbsm.onering_upa(upa, phi=phi, theta=theta, delta_phi=delta_phi,
+                         delta_theta=delta_theta)
     # the uniform window has nonzero endpoints, so the 2-D trapezoid
     # converges only at O(h^2); a denser grid keeps the oracle below the
     # 1e-7 tolerance (the Gaussian window decays and needs no refinement)
-    oracle = _trapz_upa("onering", upa, ang.phi, ang.theta,
-                        ang.delta_phi, ang.delta_theta, n=4001)
+    oracle = _trapz_upa("onering", upa, phi, theta, delta_phi, delta_theta, n=4001)
     worst = max(worst, np.abs(r - oracle).max())
 
-    ang = AngularSpec(phi=0.3, theta=0.1, sigma_phi=np.radians(10),
-                      sigma_theta=np.radians(5))
-    r = gbsm.gaussian_upa(upa, ang)
-    oracle = _trapz_upa("gaussian", upa, ang.phi, ang.theta,
-                        ang.sigma_phi, ang.sigma_theta)
+    sigma_phi, sigma_theta = np.radians(10), np.radians(5)
+    r = gbsm.gaussian_upa(upa, phi=phi, theta=theta, sigma_phi=sigma_phi,
+                          sigma_theta=sigma_theta)
+    oracle = _trapz_upa("gaussian", upa, phi, theta, sigma_phi, sigma_theta)
     worst = max(worst, np.abs(r - oracle).max())
 
     _check(4, "all four GBSM builders match 1e6-point trapezoid to 1e-7",
@@ -175,13 +173,13 @@ def test_criterion_05_closed_vs_numeric_gaussian():
     # linearized-minus-exact difference to the 1e-7 of criterion 04.  See
     # "Decisions ledger" in README.md.
     geom = UlaGeometry(m=100)
-    ang = AngularSpec(phi=np.pi / 6, sigma_phi=np.radians(10))
-    r_num = gbsm.gaussian_ula_numeric(geom, ang, QuadratureConfig(nodes_per_dim=401))
-    r_closed = gbsm.gaussian_ula_closed(geom, ang)
+    phi, sigma = np.pi / 6, np.radians(10)
+    r_num = gbsm.gaussian_ula_numeric(geom, phi=phi, sigma_phi=sigma,
+                                      quad=QuadratureConfig(nodes_per_dim=401))
+    r_closed = gbsm.gaussian_ula_closed(geom, phi=phi, sigma_phi=sigma)
     lags = np.arange(geom.m)
-    row_exact = _trapz_ula("gaussian", lags, ang.phi, ang.sigma_phi, geom.d_h)
-    row_lin = _trapz_ula("gaussian", lags, ang.phi, ang.sigma_phi, geom.d_h,
-                         linearized=True)
+    row_exact = _trapz_ula("gaussian", lags, phi, sigma, geom.d_h)
+    row_lin = _trapz_ula("gaussian", lags, phi, sigma, geom.d_h, linearized=True)
     r_exact = scipy.linalg.toeplitz(row_exact, row_exact.conj())
     r_lin = scipy.linalg.toeplitz(row_lin, row_lin.conj())
     worst = np.abs((r_closed - r_num) - (r_lin - r_exact)).max()
@@ -201,8 +199,7 @@ def test_criterion_06_condition_number_trend():
     for delta in (5.0, 15.0, 45.0):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            r = gbsm.onering_ula(geom, AngularSpec(phi=np.radians(30),
-                                                   delta_phi=np.radians(delta)))
+            r = gbsm.onering_ula(geom, phi=np.radians(30), delta_phi=np.radians(delta))
         kappas.append(linalg.condition_number(r))
     ok = kappas[0] > kappas[1] > kappas[2]
     _check(6, "one-ring condition number strictly decreasing in spread", ok,
@@ -214,8 +211,7 @@ def test_criterion_07_aoa_dependence():
     delta = np.radians(FIXTURE["onering_delta_deg"])
     caps = []
     for phi_deg in FIXTURE["onering_phi_deg"]:
-        r = gbsm.onering_ula(geom, AngularSpec(phi=np.radians(phi_deg),
-                                               delta_phi=delta))
+        r = gbsm.onering_ula(geom, phi=np.radians(phi_deg), delta_phi=delta)
         caps.append(metrics.capacity_ub(r, ETA_60DB))
     rel = max(abs(c - ref) / ref
               for c, ref in zip(caps, FIXTURE["onering_capacity"]))
@@ -228,16 +224,17 @@ def test_criterion_07_aoa_dependence():
 def _random_correlation(kind, rng):
     """One correlation matrix with parameters drawn from the table ranges."""
     if kind == "exponential":
-        return cbsm.exponential_correlation(cbsm.ExponentialSpec(
-            m=int(rng.integers(2, 401)), rho=float(rng.uniform(0, 1))))
+        m = int(rng.integers(2, 401))
+        rho = float(rng.uniform(0, 1))
+        return cbsm.exponential_correlation(m, rho)
     if kind == "exponential_shadow":
         m = int(rng.integers(2, 401))
-        spec = cbsm.ExponentialSpec(m=m, rho=float(rng.uniform(0, 1)),
-                                    theta=float(rng.uniform(0, 2 * np.pi)),
-                                    beta=float(rng.uniform(0.25, 4.0)))
+        rho = float(rng.uniform(0, 1))
+        theta = float(rng.uniform(0, 2 * np.pi))
+        beta = float(rng.uniform(0.25, 4.0))
         sigma = float(rng.uniform(0, 6))
         return cbsm.exponential_with_shadowing(
-            spec, cbsm.draw_shadowing(m, sigma, rng))
+            cbsm.draw_shadowing(m, sigma, rng), rho, theta, beta)
     if kind == "uncorrelated":
         m = int(rng.integers(2, 401))
         sigma = float(rng.uniform(0, 6))
@@ -247,42 +244,42 @@ def _random_correlation(kind, rng):
     if kind in ("onering_ula", "gaussian_ula", "gaussian_ula_shadowed"):
         geom = UlaGeometry(m=int(rng.integers(2, 65)),
                            d_h=float(rng.uniform(0.05, 10.0)))
+        phi = float(rng.uniform(0, 2 * np.pi))
         if kind == "onering_ula":
-            ang = AngularSpec(phi=float(rng.uniform(0, 2 * np.pi)),
-                              delta_phi=float(np.radians(rng.uniform(1, 50))),
-                              beta=float(rng.uniform(0.25, 4.0)))
-            spread = ang.delta_phi
+            width = float(np.radians(rng.uniform(1, 50)))
+            spread = width
         else:
-            ang = AngularSpec(phi=float(rng.uniform(0, 2 * np.pi)),
-                              sigma_phi=float(np.radians(rng.uniform(1, 15))),
-                              beta=float(rng.uniform(0.25, 4.0)))
-            spread = 6 * ang.sigma_phi
+            width = float(np.radians(rng.uniform(1, 15)))
+            spread = 6 * width
+        beta = float(rng.uniform(0.25, 4.0))
         nodes = min(4001, max(201, int(np.ceil(4 * spread * geom.d_h * geom.m)) + 1))
         quad = QuadratureConfig(nodes_per_dim=nodes)
         if kind == "onering_ula":
-            return gbsm.onering_ula(geom, ang, quad)
+            return gbsm.onering_ula(geom, phi=phi, delta_phi=width, beta=beta, quad=quad)
         if kind == "gaussian_ula":
-            return gbsm.gaussian_ula_numeric(geom, ang, quad)
+            return gbsm.gaussian_ula_numeric(geom, phi=phi, sigma_phi=width, beta=beta,
+                                             quad=quad)
+        # the shadowed model reads the scatterer angles in place of phi
         f = cbsm.draw_shadowing(geom.m, float(rng.uniform(0, 4)), rng)
         phis = gbsm.draw_scatterer_angles(int(rng.integers(1, 5)), rng)
-        return gbsm.gaussian_ula_shadowed(geom, ang, f, phis)
+        return gbsm.gaussian_ula_shadowed(geom, f, phis, sigma_phi=width, beta=beta)
 
     geom = UpaGeometry(m_h=int(rng.integers(2, 9)), m_v=int(rng.integers(2, 9)),
                        d_h=float(rng.uniform(0.1, 1.0)),
                        d_v=float(rng.uniform(0.1, 1.0)))
+    phi = float(rng.uniform(0, 2 * np.pi))
+    theta = float(rng.uniform(-np.pi / 2, np.pi / 2))
     if kind == "onering_upa":
-        ang = AngularSpec(phi=float(rng.uniform(0, 2 * np.pi)),
-                          theta=float(rng.uniform(-np.pi / 2, np.pi / 2)),
-                          delta_phi=float(np.radians(rng.uniform(1, 40))),
-                          delta_theta=float(np.radians(rng.uniform(1, 30))),
-                          beta=float(rng.uniform(0.25, 4.0)))
-        return gbsm.onering_upa(geom, ang)
-    ang = AngularSpec(phi=float(rng.uniform(0, 2 * np.pi)),
-                      theta=float(rng.uniform(-np.pi / 2, np.pi / 2)),
-                      sigma_phi=float(np.radians(rng.uniform(1, 30))),
-                      sigma_theta=float(np.radians(rng.uniform(1, 30))),
-                      beta=float(rng.uniform(0.25, 4.0)))
-    return gbsm.gaussian_upa(geom, ang)
+        delta_phi = float(np.radians(rng.uniform(1, 40)))
+        delta_theta = float(np.radians(rng.uniform(1, 30)))
+        beta = float(rng.uniform(0.25, 4.0))
+        return gbsm.onering_upa(geom, phi=phi, theta=theta, delta_phi=delta_phi,
+                                delta_theta=delta_theta, beta=beta)
+    sigma_phi = float(np.radians(rng.uniform(1, 30)))
+    sigma_theta = float(np.radians(rng.uniform(1, 30)))
+    beta = float(rng.uniform(0.25, 4.0))
+    return gbsm.gaussian_upa(geom, phi=phi, theta=theta, sigma_phi=sigma_phi,
+                             sigma_theta=sigma_theta, beta=beta)
 
 
 def test_criterion_08_psd_hermitian_suite():
@@ -443,10 +440,9 @@ def test_criterion_13_jensen_bound():
     m, draws = 16, 10**4
     ok = True
     details = []
-    r_exp = cbsm.exponential_correlation(cbsm.ExponentialSpec(m=m, rho=0.5))
-    r_ring = gbsm.onering_ula(UlaGeometry(m=m),
-                              AngularSpec(phi=np.radians(30),
-                                          delta_phi=np.radians(10)))
+    r_exp = cbsm.exponential_correlation(m, 0.5)
+    r_ring = gbsm.onering_ula(UlaGeometry(m=m), phi=np.radians(30),
+                              delta_phi=np.radians(10))
     for name, r in (("exponential", r_exp), ("onering", r_ring)):
         s = linalg.psd_sqrt(r)
         caps = [metrics.capacity_single(linalg.sample_correlated(s, rng), ETA_60DB)

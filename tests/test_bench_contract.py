@@ -54,6 +54,35 @@ trials = 1
 sweep.param = m
 sweep.grid = 16
 """,
+    "gaussian_ula": """model = gaussian_ula
+metric = capacity_ub
+trials = 2
+geometry.m = 16
+sweep.param = m
+sweep.grid = 16
+""",
+    "gaussian_ula_closed": """model = gaussian_ula_closed
+metric = capacity_ub
+trials = 2
+geometry.m = 16
+sweep.param = m
+sweep.grid = 16
+""",
+    "exponential_shadow": """model = exponential_shadow
+metric = capacity_ub
+trials = 2
+geometry.m = 16
+model.sigma_shad = 2.0
+sweep.param = m
+sweep.grid = 16
+""",
+    "gaussian_upa": """model = gaussian_upa
+metric = capacity_ub
+trials = 2
+geometry.m = 16
+sweep.param = m
+sweep.grid = 16
+""",
     "xl": """model = xl
 metric = sinr
 trials = 1

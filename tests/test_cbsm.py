@@ -1,25 +1,25 @@
 import numpy as np
 import pytest
 
-from chansim.cbsm import (ExponentialSpec, draw_shadowing, exponential_correlation,
+from chansim.cbsm import (draw_shadowing, exponential_correlation,
                           exponential_with_shadowing, uncorrelated_with_shadowing)
 from chansim.errors import InvalidParam
 from chansim.linalg import psd_eigvals, log2_det_ipm
 
 
 def test_exponential_rho_zero_is_identity():
-    r = exponential_correlation(ExponentialSpec(m=2, rho=0.0))
+    r = exponential_correlation(2, 0.0)
     assert np.array_equal(r, np.eye(2))
 
 
 def test_exponential_rho_one_all_ones():
-    r = exponential_correlation(ExponentialSpec(m=3, rho=1.0))
+    r = exponential_correlation(3, 1.0)
     assert np.array_equal(r, np.ones((3, 3)))
     assert np.allclose(psd_eigvals(r), [3, 0, 0], atol=1e-12)
 
 
 def test_exponential_2x2_half():
-    r = exponential_correlation(ExponentialSpec(m=2, rho=0.5))
+    r = exponential_correlation(2, 0.5)
     assert np.allclose(r, [[1, 0.5], [0.5, 1]])
     lam = psd_eigvals(r)
     assert np.allclose(lam, [1.5, 0.5])
@@ -27,7 +27,7 @@ def test_exponential_2x2_half():
 
 
 def test_exponential_is_toeplitz():
-    r = exponential_correlation(ExponentialSpec(m=20, rho=0.7))
+    r = exponential_correlation(20, 0.7)
     for k in range(20):
         diag = np.diag(r, k)
         assert np.all(diag == diag[0])
@@ -36,14 +36,14 @@ def test_exponential_is_toeplitz():
 
 def test_exponential_rejects_bad_rho():
     with pytest.raises(InvalidParam):
-        ExponentialSpec(m=4, rho=1.5)
+        exponential_correlation(4, 1.5)
     with pytest.raises(InvalidParam):
-        ExponentialSpec(m=4, rho=-0.1)
+        exponential_correlation(4, -0.1)
 
 
 def test_capacity_ub_nonincreasing_in_rho():
     eta, m = 1e6, 50
-    caps = [log2_det_ipm(exponential_correlation(ExponentialSpec(m=m, rho=r)), eta / m)
+    caps = [log2_det_ipm(exponential_correlation(m, r), eta / m)
             for r in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
     assert np.all(np.diff(caps) <= 0)
 
@@ -91,24 +91,21 @@ def test_uncorrelated_mean_diag_entry():
 
 
 def test_exponential_with_shadowing_reduction():
-    spec = ExponentialSpec(m=12, rho=0.6, theta=0.0, beta=1.0)
-    r = exponential_with_shadowing(spec, np.zeros(12))
-    assert np.abs(r - exponential_correlation(spec)).max() <= 1e-15
+    r = exponential_with_shadowing(np.zeros(12), 0.6, 0.0, beta=1.0)
+    assert np.abs(r - exponential_correlation(12, 0.6)).max() <= 1e-15
 
 
 def test_exponential_with_shadowing_diagonal():
     rng = np.random.default_rng(4)
     f = draw_shadowing(8, 4.0, rng)
-    spec = ExponentialSpec(m=8, rho=0.5, theta=np.pi / 2, beta=1.5)
-    r = exponential_with_shadowing(spec, f)
+    r = exponential_with_shadowing(f, 0.5, np.pi / 2, beta=1.5)
     assert np.allclose(np.diag(r).real, 1.5 * 10.0 ** (f / 10.0))
 
 
 def test_exponential_with_shadowing_hermitian():
     rng = np.random.default_rng(5)
     f = draw_shadowing(10, 4.0, rng)
-    spec = ExponentialSpec(m=10, rho=0.8, theta=1.1)
-    r = exponential_with_shadowing(spec, f)
+    r = exponential_with_shadowing(f, 0.8, 1.1)
     assert np.abs(r - r.conj().T).max() <= 1e-12 * np.abs(r).max()
     psd_eigvals(r)  # no NotPSD
 
@@ -125,18 +122,15 @@ def test_shadowed_capacity_increases_with_m_near_full_correlation():
         acc = 0.0
         for _ in range(50):
             f = draw_shadowing(m, 4.0, rng)
-            spec = ExponentialSpec(m=m, rho=0.98, theta=np.pi / 2)
-            acc += log2_det_ipm(exponential_with_shadowing(spec, f), eta / m)
+            acc += log2_det_ipm(exponential_with_shadowing(f, 0.98, np.pi / 2), eta / m)
         caps.append(acc / 50)
     assert caps[0] < caps[1] < caps[2]
 
-    plain = log2_det_ipm(exponential_correlation(ExponentialSpec(m=100, rho=1.0)),
-                         eta / 100)
+    plain = log2_det_ipm(exponential_correlation(100, 1.0), eta / 100)
     acc = 0.0
     for _ in range(50):
         f = draw_shadowing(100, 4.0, rng)
-        spec = ExponentialSpec(m=100, rho=1.0, theta=np.pi / 2)
-        acc += log2_det_ipm(exponential_with_shadowing(spec, f), eta / 100)
+        acc += log2_det_ipm(exponential_with_shadowing(f, 1.0, np.pi / 2), eta / 100)
     assert acc / 50 > plain
 
 
@@ -144,5 +138,19 @@ def test_shadow_draw_length_checked():
     # np.diag would read the diagonal of a 2-D f rather than build a matrix
     with pytest.raises(InvalidParam, match="1-D"):
         uncorrelated_with_shadowing(1.0, np.zeros((4, 4)))
-    with pytest.raises(InvalidParam):
-        exponential_with_shadowing(ExponentialSpec(m=4, rho=0.5), np.zeros(5))
+    with pytest.raises(InvalidParam, match="1-D"):
+        exponential_with_shadowing(np.zeros((4, 4)), 0.5, 0.0)
+
+
+# exponential_correlation's rho bounds are checked in test_exponential_rejects_bad_rho
+@pytest.mark.parametrize("build, message", [
+    (lambda: exponential_correlation(0, 0.5), "antenna count"),
+    (lambda: exponential_with_shadowing(np.zeros(4), 1.5, 0.0), "correlation factor"),
+    (lambda: exponential_with_shadowing(np.zeros(4), -0.1, 0.0), "correlation factor"),
+    (lambda: exponential_with_shadowing(np.zeros(4), 0.5, 0.0, beta=-1.0), "path-loss gain"),
+    (lambda: exponential_with_shadowing(np.zeros(0), 0.5, 0.0), "antenna count"),
+], ids=["m_zero", "shadow_rho_high", "shadow_rho_low",
+        "shadow_beta", "shadow_empty"])
+def test_exponential_builders_reject_bad_values(build, message):
+    with pytest.raises(InvalidParam, match=message):
+        build()

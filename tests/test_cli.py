@@ -107,6 +107,15 @@ sweep.grid = 35
 """
 
 
+AT_M16 = """
+metric = capacity_ub
+trials = 1
+geometry.m = 16
+sweep.param = m
+sweep.grid = 16
+"""
+
+
 @pytest.mark.parametrize("text, named, args", [
     (CONFIG.replace("0,0.5", "low,high"), "'rho'", ()),
     (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "8,abc"), "'m'", ()),
@@ -137,11 +146,28 @@ sweep.grid = 35
     (CONFIG.replace("0,0.5", "0:nan:1"), "'sweep.grid'", ()),
     (CONFIG.replace("0,0.5", "0:0.5:inf"), "'sweep.grid'", ()),
     (CONFIG.replace("0,0.5", "0,inf"), "'sweep.grid'", ()),
+    ("model = exponential" + AT_M16 + "model.rho = 1.5\n", "model.rho", ()),
+    ("model = exponential" + AT_M16 + "model.beta = -1\n", "model.beta", ()),
+    ("model = onering_ula" + AT_M16 + "model.delta_deg = -5\n", "model.delta_deg", ()),
+    ("model = gaussian_ula" + AT_M16 + "model.sigma_phi_deg = -1\n",
+     "model.sigma_phi_deg", ()),
+    ("model = onering_upa" + AT_M16 + "model.delta_theta_deg = -1\n",
+     "model.delta_theta_deg", ()),
+    ("model = gaussian_upa" + AT_M16 + "model.sigma_theta_deg = -1\n",
+     "model.sigma_theta_deg", ()),
+    ("model = onering_upa" + AT_M16 + "geometry.m_h = -3\n", "geometry.m_h", ()),
+    (XL + "xl.freeze_geometry = 5\n", "xl.freeze_geometry", ()),
+    (XL + "model.rho = 3\n", "model.rho", ()),
+    (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "10.5,11.5,16.7"),
+     "'m' expects integers", ()),
+    (XL.replace("param = d1", "param = num_users").replace("= 35", "= 1.5,2.5"),
+     "'num_users' expects integers", ()),
 ], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad", "seed", "seed_option",
         "users", "num_users_grid", "total_power", "m", "m_grid_zero", "d_h", "d_v",
         "clusters_per_user", "vr_antennas", "r_min", "r_max", "p0", "p0_p1_outside",
         "p0_p1_sum", "c", "d2", "snr_nan", "total_power_inf", "range_nan", "range_inf",
-        "list_inf"])
+        "list_inf", "rho", "beta", "delta", "sigma_phi", "delta_theta", "sigma_theta",
+        "m_h", "freeze_geometry", "xl_rho", "m_grid_fraction", "num_users_grid_fraction"])
 def test_invalid_value_exit_2(tmp_path, text, named, args):
     cfg = tmp_path / "c.txt"
     cfg.write_text(text)

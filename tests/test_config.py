@@ -160,6 +160,22 @@ def test_apply_point_int_coercion():
     assert out.rho == 0.3
 
 
+# list grids of m and num_users are cases of tests/test_cli.py::test_invalid_value_exit_2
+@pytest.mark.parametrize("param, grid", [("m", "10:0.5:12"), ("vr_antennas", "33,33.5")])
+def test_fractional_grid_of_integer_param_rejected(param, grid):
+    text = MINIMAL.replace("sweep.param = rho", f"sweep.param = {param}")
+    with pytest.raises(ConfigError, match=f"'{param}' expects integers"):
+        parse_config(text.replace("0:0.2:1", grid))
+
+
+# the other new range rules are cases of tests/test_cli.py::test_invalid_value_exit_2
+@pytest.mark.parametrize("line", ["model.rho = -0.1", "geometry.m_v = -1",
+                                  "model.svd_index = -1"])
+def test_model_values_out_of_range_rejected(line):
+    with pytest.raises(ConfigError, match=line.split(" = ")[0]):
+        parse_config(MINIMAL + line + "\n")
+
+
 def test_apply_point_string_value():
     cfg = ExperimentConfig(model="xl", metric="sinr",
                            sweep=SweepSpec("num_users", (5.0,)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from chansim import gbsm
 from chansim.errors import InvalidParam, QuadratureWarning, ValidityWarning
-from chansim.gbsm import (AngularSpec, QuadratureConfig, UlaGeometry, UpaGeometry,
+from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry,
                           draw_scatterer_angles, gaussian_ula_closed,
                           gaussian_ula_numeric, gaussian_ula_shadowed,
                           gaussian_upa, onering_ula, onering_upa,
@@ -28,12 +28,12 @@ def trapz_gaussian_entry(diff, phi, sigma, d_h, trunc=6.0, n=1_000_001):
 
 
 def test_onering_diagonal_is_beta():
-    r = onering_ula(UlaGeometry(m=6), AngularSpec(phi=0.3, delta_phi=0.2, beta=2.5))
+    r = onering_ula(UlaGeometry(m=6), phi=0.3, delta_phi=0.2, beta=2.5)
     assert np.allclose(np.diag(r).real, 2.5)
 
 
 def test_onering_zero_spread_rank1():
-    r = onering_ula(UlaGeometry(m=5), AngularSpec(phi=0.7, delta_phi=0.0))
+    r = onering_ula(UlaGeometry(m=5), phi=0.7, delta_phi=0.0)
     lam = psd_eigvals(r)
     assert np.isclose(lam[0], 5.0)
     assert np.all(lam[1:] < 1e-10)
@@ -41,13 +41,13 @@ def test_onering_zero_spread_rank1():
 
 def test_onering_matches_trapezoid_oracle():
     phi, delta, d_h = 0.0, np.radians(10), 0.5
-    r = onering_ula(UlaGeometry(m=2, d_h=d_h), AngularSpec(phi=phi, delta_phi=delta))
+    r = onering_ula(UlaGeometry(m=2, d_h=d_h), phi=phi, delta_phi=delta)
     oracle = trapz_onering_entry(-1, phi, delta, d_h)
     assert abs(r[0, 1] - oracle) <= 1e-8
 
 
 def test_onering_toeplitz():
-    r = onering_ula(UlaGeometry(m=10), AngularSpec(phi=0.5, delta_phi=0.3))
+    r = onering_ula(UlaGeometry(m=10), phi=0.5, delta_phi=0.3)
     for k in range(1, 10):
         diag = np.diag(r, k)
         assert np.abs(diag - diag[0]).max() <= 1e-10
@@ -55,22 +55,21 @@ def test_onering_toeplitz():
 
 def test_onering_coarse_quadrature_warns():
     with pytest.warns(QuadratureWarning):
-        onering_ula(UlaGeometry(m=100, d_h=5.0), AngularSpec(phi=0.0, delta_phi=0.8),
-                    QuadratureConfig(nodes_per_dim=11))
+        onering_ula(UlaGeometry(m=100, d_h=5.0), phi=0.0, delta_phi=0.8,
+                    quad=QuadratureConfig(nodes_per_dim=11))
 
 
 def test_onering_quadrature_converged():
     geom = UlaGeometry(m=16)
-    ang = AngularSpec(phi=0.4, delta_phi=0.5)
-    r1 = onering_ula(geom, ang, QuadratureConfig(nodes_per_dim=201))
-    r2 = onering_ula(geom, ang, QuadratureConfig(nodes_per_dim=402))
+    r1 = onering_ula(geom, phi=0.4, delta_phi=0.5, quad=QuadratureConfig(nodes_per_dim=201))
+    r2 = onering_ula(geom, phi=0.4, delta_phi=0.5, quad=QuadratureConfig(nodes_per_dim=402))
     assert np.abs(r1 - r2).max() < 1e-8
 
 
 def test_gaussian_numeric_matches_trapezoid_oracle():
     phi, sigma, d_h = np.pi / 6, np.radians(10), 0.5
     geom = UlaGeometry(m=4, d_h=d_h)
-    r = gaussian_ula_numeric(geom, AngularSpec(phi=phi, sigma_phi=sigma))
+    r = gaussian_ula_numeric(geom, phi=phi, sigma_phi=sigma)
     for i in range(4):
         for j in range(4):
             oracle = trapz_gaussian_entry(i - j, phi, sigma, d_h)
@@ -78,46 +77,42 @@ def test_gaussian_numeric_matches_trapezoid_oracle():
 
 
 def test_gaussian_numeric_diagonal():
-    r = gaussian_ula_numeric(UlaGeometry(m=8),
-                             AngularSpec(phi=0.2, sigma_phi=0.1, beta=3.0))
+    r = gaussian_ula_numeric(UlaGeometry(m=8), phi=0.2, sigma_phi=0.1, beta=3.0)
     assert np.allclose(np.diag(r).real, 3.0)
 
 
 def test_gaussian_zero_asd_rank1():
-    r = gaussian_ula_numeric(UlaGeometry(m=5), AngularSpec(phi=0.7, sigma_phi=0.0))
+    r = gaussian_ula_numeric(UlaGeometry(m=5), phi=0.7, sigma_phi=0.0)
     lam = psd_eigvals(r)
     assert np.isclose(lam[0], 5.0)
 
 
 def test_gaussian_closed_diagonal_and_structure():
     geom = UlaGeometry(m=6)
-    ang = AngularSpec(phi=0.5, sigma_phi=np.radians(5))
-    r = gaussian_ula_closed(geom, ang)
+    r = gaussian_ula_closed(geom, phi=0.5, sigma_phi=np.radians(5))
     assert np.allclose(np.diag(r).real, 1.0)
     # unit-modulus Toeplitz when sigma = 0
-    r0 = gaussian_ula_closed(geom, AngularSpec(phi=0.5, sigma_phi=0.0))
+    r0 = gaussian_ula_closed(geom, phi=0.5, sigma_phi=0.0)
     assert np.allclose(np.abs(r0), 1.0)
 
 
 def test_gaussian_closed_warns_beyond_validity():
     with pytest.warns(ValidityWarning):
-        gaussian_ula_closed(UlaGeometry(m=4), AngularSpec(phi=0.0,
-                                                          sigma_phi=np.radians(20)))
+        gaussian_ula_closed(UlaGeometry(m=4), phi=0.0, sigma_phi=np.radians(20))
 
 
 def test_gaussian_shadowed_reduction():
     geom = UlaGeometry(m=7)
-    ang = AngularSpec(phi=0.4, sigma_phi=np.radians(8))
-    r = gaussian_ula_shadowed(geom, ang, np.zeros(7), np.array([0.4]))
-    assert np.abs(r - gaussian_ula_closed(geom, ang)).max() <= 1e-14
+    sigma = np.radians(8)
+    r = gaussian_ula_shadowed(geom, np.zeros(7), np.array([0.4]), sigma_phi=sigma)
+    assert np.abs(r - gaussian_ula_closed(geom, phi=0.4, sigma_phi=sigma)).max() <= 1e-14
 
 
 def test_gaussian_shadowed_diagonal():
     rng = np.random.default_rng(0)
     f = rng.normal(0, 2, size=5)
     geom = UlaGeometry(m=5)
-    ang = AngularSpec(phi=0.0, sigma_phi=0.1)
-    r = gaussian_ula_shadowed(geom, ang, f, np.array([0.0]))
+    r = gaussian_ula_shadowed(geom, f, np.array([0.0]), sigma_phi=0.1)
     assert np.allclose(np.diag(r).real, 10.0 ** (2 * f / 10.0))
 
 
@@ -130,10 +125,10 @@ def test_gaussian_shadowed_capacity_gain():
     eta = 1e6
     caps = {0.0: [], 2.0: []}
     for sig in caps:
-        ang = AngularSpec(phi=np.pi / 6, sigma_phi=np.radians(10))
         for _ in range(20):
             f = sig * rng.standard_normal(100)
-            r = gaussian_ula_shadowed(geom, ang, f, np.array([np.pi / 6]))
+            r = gaussian_ula_shadowed(geom, f, np.array([np.pi / 6]),
+                                      sigma_phi=np.radians(10))
             caps[sig].append(log2_det_ipm(r, eta / 100))
     assert np.mean(caps[2.0]) > np.mean(caps[0.0])
 
@@ -157,14 +152,13 @@ def test_upa_antenna_index():
 
 def test_onering_upa_diagonal_and_oracle():
     geom = UpaGeometry(m_h=2, m_v=2)
-    ang = AngularSpec(phi=0.0, theta=0.0, delta_phi=np.radians(10),
-                      delta_theta=np.radians(2))
-    r = onering_upa(geom, ang)
+    delta_phi, delta_theta = np.radians(10), np.radians(2)
+    r = onering_upa(geom, phi=0.0, theta=0.0, delta_phi=delta_phi, delta_theta=delta_theta)
     assert np.allclose(np.diag(r).real, 1.0)
     # dense 2-D trapezoid oracle for one off-diagonal entry
     n = 1501
-    d_az = np.linspace(-ang.delta_phi, ang.delta_phi, n)
-    d_el = np.linspace(-ang.delta_theta, ang.delta_theta, n)
+    d_az = np.linspace(-delta_phi, delta_phi, n)
+    d_el = np.linspace(-delta_theta, delta_theta, n)
     az, el = np.meshgrid(d_az, d_el, indexing="ij")
     for (mi, ni) in ((0, 1), (0, 2), (0, 3), (1, 2)):
         py_m, pz_m = upa_antenna_index(geom, mi + 1)
@@ -172,26 +166,26 @@ def test_onering_upa_diagonal_and_oracle():
         kern = np.exp(2j * np.pi * 0.5 * (pz_m - pz_n) * np.sin(el)
                       + 2j * np.pi * 0.5 * (py_m - py_n) * np.cos(el) * np.sin(az))
         oracle = np.trapezoid(np.trapezoid(kern, d_el, axis=1), d_az) \
-            / (4 * ang.delta_phi * ang.delta_theta)
+            / (4 * delta_phi * delta_theta)
         assert abs(r[mi, ni] - oracle) <= 1e-7
 
 
 def test_onering_upa_zero_spread_invalid():
     geom = UpaGeometry(m_h=2, m_v=2)
     with pytest.raises(InvalidParam):
-        onering_upa(geom, AngularSpec(phi=0.0, delta_phi=0.0, delta_theta=0.1))
+        onering_upa(geom, phi=0.0, theta=0.0, delta_phi=0.0, delta_theta=0.1)
 
 
 def test_gaussian_upa_diagonal_and_oracle():
     geom = UpaGeometry(m_h=2, m_v=2)
     sig_az, sig_el = np.radians(10), np.radians(5)
-    ang = AngularSpec(phi=0.3, theta=0.1, sigma_phi=sig_az, sigma_theta=sig_el)
-    r = gaussian_upa(geom, ang)
+    phi, theta = 0.3, 0.1
+    r = gaussian_upa(geom, phi=phi, theta=theta, sigma_phi=sig_az, sigma_theta=sig_el)
     assert np.allclose(np.diag(r).real, 1.0)
     n = 1501
     d_az = np.linspace(-6 * sig_az, 6 * sig_az, n)
     d_el = np.linspace(-6 * sig_el, 6 * sig_el, n)
-    az, el = np.meshgrid(ang.phi + d_az, ang.theta + d_el, indexing="ij")
+    az, el = np.meshgrid(phi + d_az, theta + d_el, indexing="ij")
     pdf = np.exp(-d_az**2 / (2 * sig_az**2))[:, None] \
         * np.exp(-d_el**2 / (2 * sig_el**2))[None, :]
     norm = np.trapezoid(np.trapezoid(pdf, d_el, axis=1), d_az)
@@ -231,17 +225,15 @@ def test_upa_lag_table_matches_dense_assembly(m_h, m_v, d_h, d_v, phi, theta,
     geom = UpaGeometry(m_h=m_h, m_v=m_v, d_h=d_h, d_v=d_v)
     quad = QuadratureConfig(nodes_per_dim=nodes)
     x, w = np.polynomial.legendre.leggauss(nodes)
-    ring = AngularSpec(phi=phi, theta=theta, delta_phi=spread_az,
-                       delta_theta=spread_el, beta=beta)
-    gauss = AngularSpec(phi=phi, theta=theta, sigma_phi=spread_az / 2,
-                        sigma_theta=spread_el / 2, beta=beta)
-    d_az, w_az = gbsm._truncated_gaussian_nodes(gauss.sigma_phi, quad)
-    d_el, w_el = gbsm._truncated_gaussian_nodes(gauss.sigma_theta, quad)
+    d_az, w_az = gbsm._truncated_gaussian_nodes(spread_az / 2, quad)
+    d_el, w_el = gbsm._truncated_gaussian_nodes(spread_el / 2, quad)
     cases = [
-        (onering_upa(geom, ring, quad),
+        (onering_upa(geom, phi=phi, theta=theta, delta_phi=spread_az,
+                     delta_theta=spread_el, beta=beta, quad=quad),
          dense_upa(geom, phi + spread_az * x, theta + spread_el * x,
                    np.outer(w, w) / 4.0, beta)),
-        (gaussian_upa(geom, gauss, quad),
+        (gaussian_upa(geom, phi=phi, theta=theta, sigma_phi=spread_az / 2,
+                      sigma_theta=spread_el / 2, beta=beta, quad=quad),
          dense_upa(geom, phi + d_az, theta + d_el, np.outer(w_az, w_el), beta)),
     ]
     for r, oracle in cases:
@@ -254,21 +246,67 @@ def test_gaussian_upa_capacity_exceeds_onering():
     geom = UpaGeometry(m_h=10, m_v=10)
     eta, m = 1e6, 100
     c_gauss = log2_det_ipm(
-        gaussian_upa(geom, AngularSpec(phi=0.0, theta=0.0,
-                                       sigma_phi=np.radians(30),
-                                       sigma_theta=np.radians(10))), eta / m)
+        gaussian_upa(geom, phi=0.0, theta=0.0, sigma_phi=np.radians(30),
+                     sigma_theta=np.radians(10)), eta / m)
     c_ring = log2_det_ipm(
-        onering_upa(geom, AngularSpec(phi=0.0, theta=0.0,
-                                      delta_phi=np.radians(30),
-                                      delta_theta=np.radians(10))), eta / m)
+        onering_upa(geom, phi=0.0, theta=0.0, delta_phi=np.radians(30),
+                    delta_theta=np.radians(10)), eta / m)
     assert c_gauss > c_ring
 
 
 def test_capacity_phi0_exceeds_phi90():
     eta, m = 1e6, 100
     geom = UlaGeometry(m=m)
-    c0 = log2_det_ipm(onering_ula(geom, AngularSpec(phi=0.0,
-                                                    delta_phi=np.radians(30))), eta / m)
-    c90 = log2_det_ipm(onering_ula(geom, AngularSpec(phi=np.pi / 2,
-                                                     delta_phi=np.radians(30))), eta / m)
+    c0 = log2_det_ipm(onering_ula(geom, phi=0.0, delta_phi=np.radians(30)), eta / m)
+    c90 = log2_det_ipm(onering_ula(geom, phi=np.pi / 2, delta_phi=np.radians(30)), eta / m)
     assert c0 > c90
+
+
+ULA, UPA = UlaGeometry(m=4), UpaGeometry(m_h=2, m_v=2)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: onering_ula(ULA, phi=0.3, delta_phi=v), "delta_phi"),
+    (lambda v: onering_ula(ULA, phi=0.3, delta_phi=0.2, beta=v), "beta"),
+    (lambda v: gaussian_ula_numeric(ULA, phi=0.3, sigma_phi=v), "sigma_phi"),
+    (lambda v: gaussian_ula_numeric(ULA, phi=0.3, sigma_phi=0.1, beta=v), "beta"),
+    (lambda v: gaussian_ula_closed(ULA, phi=0.3, sigma_phi=v), "sigma_phi"),
+    (lambda v: gaussian_ula_closed(ULA, phi=0.3, sigma_phi=0.1, beta=v), "beta"),
+    (lambda v: gaussian_ula_shadowed(ULA, np.zeros(4), [0.3], sigma_phi=v), "sigma_phi"),
+    (lambda v: gaussian_ula_shadowed(ULA, np.zeros(4), [0.3], sigma_phi=0.1, beta=v),
+     "beta"),
+    (lambda v: onering_upa(UPA, phi=0.3, theta=0.1, delta_phi=v, delta_theta=0.1),
+     "delta_phi"),
+    (lambda v: onering_upa(UPA, phi=0.3, theta=0.1, delta_phi=0.1, delta_theta=v),
+     "delta_theta"),
+    (lambda v: onering_upa(UPA, phi=0.3, theta=0.1, delta_phi=0.1, delta_theta=0.1,
+                           beta=v), "beta"),
+    (lambda v: gaussian_upa(UPA, phi=0.3, theta=0.1, sigma_phi=v, sigma_theta=0.1),
+     "sigma_phi"),
+    (lambda v: gaussian_upa(UPA, phi=0.3, theta=0.1, sigma_phi=0.1, sigma_theta=v),
+     "sigma_theta"),
+    (lambda v: gaussian_upa(UPA, phi=0.3, theta=0.1, sigma_phi=0.1, sigma_theta=0.1,
+                            beta=v), "beta"),
+], ids=["onering_ula-delta_phi", "onering_ula-beta", "gaussian_ula-sigma_phi",
+        "gaussian_ula-beta", "closed-sigma_phi", "closed-beta", "shadowed-sigma_phi",
+        "shadowed-beta", "onering_upa-delta_phi", "onering_upa-delta_theta",
+        "onering_upa-beta", "gaussian_upa-sigma_phi", "gaussian_upa-sigma_theta",
+        "gaussian_upa-beta"])
+def test_builders_reject_negative_spread_and_gain(build, name):
+    build(0.05)   # the same call with an admissible value builds
+    with pytest.raises(InvalidParam, match=f"^{name} must be >= 0"):
+        build(-0.05)
+
+
+@pytest.mark.parametrize("build, foreign", [
+    (lambda **kw: gaussian_ula_numeric(ULA, phi=0.3, sigma_phi=0.1, **kw), "delta_phi"),
+    (lambda **kw: onering_ula(ULA, phi=0.3, delta_phi=0.1, **kw), "sigma_phi"),
+    (lambda **kw: gaussian_ula_shadowed(ULA, np.zeros(4), [0.3], sigma_phi=0.1, **kw), "phi"),
+    (lambda **kw: onering_upa(UPA, phi=0.3, theta=0.1, delta_phi=0.1, delta_theta=0.1, **kw),
+     "sigma_phi"),
+], ids=["gaussian_ula-delta_phi", "onering_ula-sigma_phi", "shadowed-phi",
+        "onering_upa-sigma"])
+def test_builders_reject_parameters_of_other_models(build, foreign):
+    build()   # the model's own parameters build
+    with pytest.raises(TypeError, match=foreign):
+        build(**{foreign: 0.2})

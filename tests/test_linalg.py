@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chansim.errors import InvalidMatrix, InvalidParam, NotPSD
-from chansim.gbsm import AngularSpec, UlaGeometry, onering_ula
+from chansim.gbsm import UlaGeometry, onering_ula
 from chansim.linalg import (check_hermitian, complex_gaussian, condition_number,
                             log2_det_ipm, psd_eigvals, psd_sqrt, sample_correlated)
 
@@ -64,8 +64,7 @@ def test_psd_sqrt_diagonal():
 
 def test_psd_sqrt_onering_reconstruction():
     # rank-deficient at small spread, which is exactly why clipping exists
-    r = onering_ula(UlaGeometry(m=8), AngularSpec(phi=np.radians(30),
-                                                  delta_phi=np.radians(10)))
+    r = onering_ula(UlaGeometry(m=8), phi=np.radians(30), delta_phi=np.radians(10))
     s = psd_sqrt(r)
     lam_max = psd_eigvals(r)[0]
     assert np.abs(s @ s.conj().T - r).max() <= 1e-9 * lam_max
@@ -155,7 +154,7 @@ def test_sample_correlated_unit_variance():
 
 def test_sample_correlated_covariance_oracle():
     rng = np.random.default_rng(6)
-    r = onering_ula(UlaGeometry(m=8), AngularSpec(phi=0.4, delta_phi=0.3))
+    r = onering_ula(UlaGeometry(m=8), phi=0.4, delta_phi=0.3)
     s = psd_sqrt(r)
     draws = np.array([sample_correlated(s, rng) for _ in range(100_000)])
     cov = (draws[:, :, None] * draws[:, None, :].conj()).mean(axis=0)

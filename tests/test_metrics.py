@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from chansim import linalg
-from chansim.cbsm import ExponentialSpec, exponential_correlation
+from chansim.cbsm import exponential_correlation
 from chansim.errors import InvalidMatrix, InvalidParam, ZeroVector
-from chansim.gbsm import AngularSpec, UlaGeometry, onering_ula
+from chansim.gbsm import UlaGeometry, onering_ula
 from chansim.linalg import complex_gaussian, psd_sqrt, sample_correlated
 from chansim.metrics import (capacity_single, capacity_ub, correlation_coefficient,
                              db_to_linear, mean_with_stderr, sinr_per_user)
@@ -51,11 +51,13 @@ def test_capacity_ub_anchors():
                       rtol=1e-9)
 
 
-@pytest.mark.parametrize("r", [np.array(2.0), np.ones(3), np.zeros((0, 0))],
-                         ids=["0-d", "1-D", "0x0"])
-def test_capacity_ub_rejects_non_matrix(r):
+@pytest.mark.parametrize("capacity, r", [
+    (capacity_ub, np.array(2.0)), (capacity_ub, np.ones(3)), (capacity_ub, np.zeros((0, 0))),
+    (capacity_single, np.array(2.0)),
+], ids=["0-d", "1-D", "0x0", "single-0-d"])
+def test_capacity_ub_rejects_non_matrix(capacity, r):
     with pytest.raises(InvalidMatrix):
-        capacity_ub(r, 10.0)
+        capacity(r, 10.0)
 
 
 def test_capacity_ub_checks_hermitian_once(monkeypatch):
@@ -73,7 +75,7 @@ def test_capacity_ub_checks_hermitian_once(monkeypatch):
 
 def test_capacity_ub_exponential_ordering():
     eta, m = 1e6, 100
-    caps = [capacity_ub(exponential_correlation(ExponentialSpec(m=m, rho=r)), eta)
+    caps = [capacity_ub(exponential_correlation(m, r), eta)
             for r in (0.0, 0.6, 0.8, 1.0)]
     assert caps[0] > caps[1] > caps[2] > caps[3]
     assert (caps[2] - caps[3]) > (caps[0] - caps[1])
@@ -82,9 +84,8 @@ def test_capacity_ub_exponential_ordering():
 def test_jensen_bound():
     rng = np.random.default_rng(2)
     eta, m = 1e6, 16
-    for r in (exponential_correlation(ExponentialSpec(m=m, rho=0.5)),
-              onering_ula(UlaGeometry(m=m), AngularSpec(phi=0.5,
-                                                        delta_phi=np.radians(10)))):
+    for r in (exponential_correlation(m, 0.5),
+              onering_ula(UlaGeometry(m=m), phi=0.5, delta_phi=np.radians(10))):
         s = psd_sqrt(r)
         caps = [capacity_single(sample_correlated(s, rng), eta)
                 for _ in range(10_000)]

@@ -208,8 +208,8 @@ def test_cluster_channel_variance():
 
 def test_cluster_channel_covariance_oracle():
     rng = np.random.default_rng(9)
-    from chansim.cbsm import ExponentialSpec, exponential_correlation
-    r = exponential_correlation(ExponentialSpec(m=8, rho=0.6))
+    from chansim.cbsm import exponential_correlation
+    r = exponential_correlation(8, 0.6)
     beta = np.linspace(0.5, 2.0, 8)
     draws = np.array([cluster_channel(beta, r, rng) for _ in range(100_000)])
     cov = (draws[:, :, None] * draws[:, None, :].conj()).mean(axis=0)
