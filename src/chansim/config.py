@@ -140,6 +140,10 @@ class ExperimentConfig:
             raise ConfigError(f"xl.p0 + xl.p1 must equal 1, got {self.p0 + self.p1}")
         if len(self.curves) > 3:
             raise ConfigError("at most 3 curve parameters are supported")
+        # A repeated name would let the later grid override the earlier one.
+        names = [s.param for s in (self.sweep,) + self.curves]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"sweep and curve parameters must differ, got {', '.join(names)}")
         if self.xl_scheme not in xlmimo.CLUSTER_SCHEMES:
             raise ConfigError(f"unknown cluster scheme '{self.xl_scheme}'")
         if self.xl_correlation not in xlmimo.CLUSTER_CORRELATIONS:

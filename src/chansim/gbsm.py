@@ -191,17 +191,18 @@ def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.n
     scatterers of the closed-form Gaussian kernel at each scatterer's
     nominal angle; the scatterer angles take the place of phi.  With f = 0
     and a single scatterer at phi this reduces to :func:`gaussian_ula_closed`.
+    M = len(f); ``geom`` supplies only the spacing.
     """
     _check_nonnegative(beta, sigma_phi=sigma_phi)
     f = np.asarray(f, dtype=float)
-    if f.shape != (geom.m,):
-        raise InvalidParam(f"shadow draw must have length {geom.m}, got shape {f.shape}")
+    if f.ndim != 1:
+        raise InvalidParam(f"shadow draw must be 1-D, got shape {f.shape}")
     phis = np.atleast_1d(np.asarray(nominal_angles, dtype=float))
     if phis.size < 1:
         raise InvalidParam("need at least one scatterer angle")
-    k = np.arange(geom.m)
+    k = np.arange(f.size)
     diff = k[:, None] - k[None, :]
-    acc = np.zeros((geom.m, geom.m), dtype=complex)
+    acc = np.zeros((f.size, f.size), dtype=complex)
     for phi_s in phis:
         phase = np.exp(2j * np.pi * geom.d_h * diff * np.sin(phi_s))
         damp = np.exp(-(sigma_phi**2 / 2.0)

@@ -5,11 +5,17 @@ eigenvalue-domain log-determinants and correlated complex Gaussian sampling.
 Every routine takes and returns plain numpy arrays or floats.  All
 correlation-matrix consumers in the package go through these routines so
 that the Hermitian check and the PSD clipping policy live in one place.
+:func:`one_blas_thread` scopes numpy's BLAS to one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
+from functools import lru_cache
+
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidMatrix, InvalidParam, NotPSD
 
@@ -17,6 +23,50 @@ from .errors import InvalidMatrix, InvalidParam, NotPSD
 HERMITIAN_RTOL = 1e-12
 # Eigenvalues above -PSD_RTOL * lambda_max are treated as numerically zero.
 PSD_RTOL = 1e-8
+
+# (get, set) thread-count symbols: the scipy-openblas wheel, then a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    try:
+        # dlsym on numpy's LAPACK extension also searches the libraries it links.
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its count.
+
+    Results then do not depend on the BLAS thread setting, and worker
+    processes do not compete for cores with BLAS threads.  Without an
+    OpenBLAS whose count can be set this does nothing.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def _check_finite(a: np.ndarray) -> np.ndarray:

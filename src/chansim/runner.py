@@ -2,8 +2,9 @@
 
 A run iterates the cartesian product of the sweep grid and any curve
 grids.  Each point executes ``trials`` independent realizations whose
-random streams derive only from (seed, point index, trial index), so the
-output is byte-identical regardless of worker count or scheduling.
+random streams derive only from (seed, point index, trial index), and
+each point runs with numpy's BLAS on one thread, so the output is
+byte-identical regardless of worker count, scheduling or BLAS threading.
 What one trial computes is looked up in :mod:`chansim.registry`.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics, xlmimo
+from . import linalg, metrics, xlmimo
 from .config import ExperimentConfig, apply_point, config_to_text
 from .errors import ChansimError, ConfigError, IoError
 from .registry import METRICS, xl_scenario
@@ -44,12 +45,13 @@ def _run_point(args):
     cfg, index, assignment = args
     vals = np.empty(cfg.trials)
     try:
-        scenario = None
-        if cfg.freeze_geometry and METRICS[cfg.metric].scenario:
-            scenario = xl_scenario(cfg, np.random.default_rng([cfg.seed, index]))
-        for t in range(cfg.trials):
-            rng = np.random.default_rng([cfg.seed, index, t])
-            vals[t] = trial_value(cfg, rng, scenario)
+        with linalg.one_blas_thread():
+            scenario = None
+            if cfg.freeze_geometry and METRICS[cfg.metric].scenario:
+                scenario = xl_scenario(cfg, np.random.default_rng([cfg.seed, index]))
+            for t in range(cfg.trials):
+                rng = np.random.default_rng([cfg.seed, index, t])
+                vals[t] = trial_value(cfg, rng, scenario)
     except ChansimError as e:
         raise type(e)(f"sweep point {assignment}: {e}") from e
     mean, se = metrics.mean_with_stderr(vals)

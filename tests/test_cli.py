@@ -162,12 +162,15 @@ sweep.grid = 16
      "'m' expects integers", ()),
     (XL.replace("param = d1", "param = num_users").replace("= 35", "= 1.5,2.5"),
      "'num_users' expects integers", ()),
+    (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "4,8")
+     + "curve.param = m\ncurve.grid = 16\n", "parameters must differ, got m, m", ()),
 ], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad", "seed", "seed_option",
         "users", "num_users_grid", "total_power", "m", "m_grid_zero", "d_h", "d_v",
         "clusters_per_user", "vr_antennas", "r_min", "r_max", "p0", "p0_p1_outside",
         "p0_p1_sum", "c", "d2", "snr_nan", "total_power_inf", "range_nan", "range_inf",
         "list_inf", "rho", "beta", "delta", "sigma_phi", "delta_theta", "sigma_theta",
-        "m_h", "freeze_geometry", "xl_rho", "m_grid_fraction", "num_users_grid_fraction"])
+        "m_h", "freeze_geometry", "xl_rho", "m_grid_fraction", "num_users_grid_fraction",
+        "curve_repeats_sweep"])
 def test_invalid_value_exit_2(tmp_path, text, named, args):
     cfg = tmp_path / "c.txt"
     cfg.write_text(text)

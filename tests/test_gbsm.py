@@ -116,6 +116,17 @@ def test_gaussian_shadowed_diagonal():
     assert np.allclose(np.diag(r).real, 10.0 ** (2 * f / 10.0))
 
 
+def test_gaussian_shadowed_size_from_shadow_draw():
+    f = np.random.default_rng(3).normal(0, 2, size=9)
+    r = gaussian_ula_shadowed(UlaGeometry(m=9), f, [0.2, 1.1], sigma_phi=0.1)
+    # geom supplies only the spacing; M is len(f)
+    assert np.array_equal(gaussian_ula_shadowed(UlaGeometry(m=1), f, [0.2, 1.1],
+                                                sigma_phi=0.1), r)
+    assert r.shape == (9, 9)
+    with pytest.raises(InvalidParam, match="1-D"):
+        gaussian_ula_shadowed(UlaGeometry(m=4), np.zeros((4, 4)), [0.2], sigma_phi=0.1)
+
+
 def test_gaussian_shadowed_capacity_gain():
     # Shadowing cannot change the lambda_min of D R D (same rank as R),
     # so the singular-spread claim is checked through its observable

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from chansim import linalg
 from chansim.errors import InvalidMatrix, InvalidParam, NotPSD
 from chansim.gbsm import UlaGeometry, onering_ula
 from chansim.linalg import (check_hermitian, complex_gaussian, condition_number,
-                            log2_det_ipm, psd_eigvals, psd_sqrt, sample_correlated)
+                            log2_det_ipm, one_blas_thread, psd_eigvals, psd_sqrt,
+                            sample_correlated)
 
 
 def random_psd(m, rng):
@@ -167,3 +169,38 @@ def test_complex_gaussian_moments():
     z = complex_gaussian(200_000, rng)
     assert abs(np.var(z) - 1.0) < 0.02
     assert abs(z.mean()) < 0.02
+
+
+def test_one_blas_thread_sets_one_and_restores(monkeypatch):
+    count = {"n": 3}
+    monkeypatch.setattr(linalg, "_openblas_threads",
+                        lambda: (lambda: count["n"], lambda n: count.update(n=n)))
+    with one_blas_thread():
+        assert count["n"] == 1
+    assert count["n"] == 3
+    with pytest.raises(ZeroDivisionError), one_blas_thread():
+        1 / 0
+    assert count["n"] == 3
+
+
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    ran = []
+    with one_blas_thread():
+        ran.append(1)
+    assert ran == [1]
+
+
+def test_one_blas_thread_on_numpys_openblas():
+    threads = linalg._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy links no OpenBLAS with a settable thread count")
+    get, set_ = threads
+    before = get()
+    try:
+        set_(2)
+        with one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +54,35 @@ def test_worker_count_independence(tmp_path):
     emit_csv(run_experiment(cfg1), p1)
     emit_csv(run_experiment(cfg3), p3)
     assert p1.read_bytes() == p3.read_bytes()
+
+
+# Near-rank-deficient one-ring matrices: multi-threaded and single-threaded
+# eigensolvers give log-dets that differ in the 11th digit.
+ONERING = """
+model = onering_ula
+metric = capacity_ub
+trials = 1
+geometry.m = 100
+sweep.param = delta
+sweep.grid = 0,5,10
+curve.param = phi
+curve.grid = 0,90
+"""
+
+
+def test_csv_independent_of_blas_threads_and_workers(tmp_path):
+    csvs = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        for workers in (1, 2):
+            cfg, out = tmp_path / f"{threads}-{workers}.cfg", tmp_path / f"{threads}-{workers}.csv"
+            cfg.write_text(ONERING + f"workers = {workers}\n")
+            subprocess.run([sys.executable, "-m", "chansim.cli", "run", "--config", str(cfg),
+                            "--out", str(out)], env=env, check=True, timeout=120)
+            csvs[threads, workers] = out.read_bytes()
+    assert [k for k in csvs if csvs[k] != csvs[None, 1]] == []
 
 
 def test_csv_layout(tmp_path):
