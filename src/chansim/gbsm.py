@@ -4,9 +4,10 @@ Spatial correlation matrices for one-ring (uniform) and Gaussian local
 scattering, over uniform linear (2-D) and uniform planar (3-D) arrays.
 Angular integrals are evaluated with Gauss-Legendre quadrature.  Every
 matrix is the weighted sum A diag(w) A^H of steering vectors with positive
-weights, so the output is Hermitian PSD by construction.  The ULA builders
-form that product directly; the UPA builder takes the same sum once per
-grid-index lag and gathers the M x M matrix from the lag table.
+weights, so the output is Hermitian PSD by construction.  The quadrature
+ULA builders form that product directly; the UPA builder and the
+closed-form Gaussian ULA kernel take their sum once per index lag and
+gather the M x M matrix from the lag table.
 
 Each builder takes exactly the angles and gain its model reads, as keyword
 arguments.  All angles are radians.  Degree-valued user input is converted
@@ -200,14 +201,17 @@ def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.n
     phis = np.atleast_1d(np.asarray(nominal_angles, dtype=float))
     if phis.size < 1:
         raise InvalidParam("need at least one scatterer angle")
+    # The kernel depends only on the lag m - n: take it once per lag
+    # -(M-1)..M-1 and gather the M x M matrix from that row.
     k = np.arange(f.size)
-    diff = k[:, None] - k[None, :]
-    acc = np.zeros((f.size, f.size), dtype=complex)
+    diff = np.arange(-(f.size - 1), f.size)
+    acc = np.zeros(diff.size, dtype=complex)
     for phi_s in phis:
         phase = np.exp(2j * np.pi * geom.d_h * diff * np.sin(phi_s))
         damp = np.exp(-(sigma_phi**2 / 2.0)
                       * (2.0 * np.pi * geom.d_h * diff * np.cos(phi_s)) ** 2)
         acc += phase * damp
+    acc = acc[k[:, None] - k[None, :] + f.size - 1]
     # Without shadowing every entry of the M x M power is exactly 1; skip it.
     shad = 10.0 ** ((f[:, None] + f[None, :]) / 10.0) if np.any(f) else 1.0
     return beta * shad * acc / phis.size

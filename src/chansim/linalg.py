@@ -1,7 +1,8 @@
 """Complex dense linear algebra kernel.
 
 PSD eigenvalues and matrix square roots, condition numbers,
-eigenvalue-domain log-determinants and correlated complex Gaussian sampling.
+log-determinants by a PSD-guarded Cholesky factorization (with the
+eigenvalue path as its fallback) and correlated complex Gaussian sampling.
 Every routine takes and returns plain numpy arrays or floats.  All
 correlation-matrix consumers in the package go through these routines so
 that the Hermitian check and the PSD clipping policy live in one place.
@@ -140,16 +141,34 @@ def condition_number(a: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def log2_det_ipm(r: np.ndarray, c: float) -> float:
-    """log2 det(I + c R) for PSD R, evaluated in the eigenvalue domain.
+def _shifted_cholesky(a: np.ndarray, scale: float, shift: float) -> np.ndarray:
+    """Lower Cholesky factor of scale * a + shift * I; raises LinAlgError unless positive definite."""
+    s = a * scale
+    s.flat[::s.shape[0] + 1] += shift
+    return np.linalg.cholesky(s)
 
-    Working on eigenvalues avoids the determinant overflow that a direct
-    ``det`` hits already around dimension 400 at high SNR.
+
+def log2_det_ipm(r: np.ndarray, c: float) -> float:
+    """log2 det(I + c R) for PSD R, as 2 sum log2 diag(L) with L L^H = I + c R.
+
+    A first Cholesky factorization of R + tau I, tau = PSD_RTOL * max diag R,
+    guards the PSD policy: max diag R <= lambda_max, so its success means
+    lambda_min > -PSD_RTOL * lambda_max and :func:`psd_eigvals` would accept
+    R.  If either factorization fails, the value comes from the clipped
+    spectrum instead, which raises :class:`NotPSD` for an indefinite R.
+    Summing logs of the factor's diagonal avoids the determinant overflow
+    that a direct ``det`` hits already around dimension 400 at high SNR.
     """
     if c < 0:
         raise InvalidParam(f"scale factor must be >= 0, got {c}")
-    lam = psd_eigvals(r)
-    return float(np.sum(np.log2(1.0 + c * lam)))
+    a = check_hermitian(r)
+    try:
+        _shifted_cholesky(a, 1.0, PSD_RTOL * a.diagonal().real.max())
+        l = _shifted_cholesky(a, c, 1.0)
+    except np.linalg.LinAlgError:
+        lam = _clip_psd(np.linalg.eigvalsh(a)[::-1])
+        return float(np.sum(np.log2(1.0 + c * lam)))
+    return float(2.0 * np.sum(np.log2(l.diagonal().real)))
 
 
 def sample_correlated(sqrt_factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,7 @@ def db_to_linear(x_db: float) -> float:
 
 
 def capacity_single(h: np.ndarray, eta: float) -> float:
-    """log2 det(I + (eta/M) H H^H) for one channel draw, eigenvalue domain.
+    """log2 det(I + (eta/M) H H^H) for one channel draw, by :func:`log2_det_ipm`.
 
     ``h`` is M x K, or a length-M vector for one user; M is its row count.
     Uses the K x K Gram matrix when K < M; the nonzero eigenvalues of

@@ -220,3 +220,12 @@ def test_unwritable_output_exit_4(tmp_path):
     cfg.write_text(CONFIG)
     proc = run_cli("run", "--config", str(cfg), "--out", "/no-dir/x.csv")
     assert proc.returncode == 4
+
+
+def test_import_loads_no_scipy():
+    # scipy's import time and its separately bundled BLAS would land on every run
+    code = ("import sys, chansim.cli, chansim.runner; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

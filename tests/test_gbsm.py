@@ -127,6 +127,31 @@ def test_gaussian_shadowed_size_from_shadow_draw():
         gaussian_ula_shadowed(UlaGeometry(m=4), np.zeros((4, 4)), [0.2], sigma_phi=0.1)
 
 
+def dense_gaussian_shadowed(d_h, f, phis, sigma_phi, beta):
+    """Dense oracle: the closed-form kernel evaluated on the full M x M lag grid."""
+    k = np.arange(f.size)
+    diff = k[:, None] - k[None, :]
+    acc = np.zeros((f.size, f.size), dtype=complex)
+    for phi_s in phis:
+        phase = np.exp(2j * np.pi * d_h * diff * np.sin(phi_s))
+        damp = np.exp(-(sigma_phi**2 / 2.0)
+                      * (2.0 * np.pi * d_h * diff * np.cos(phi_s)) ** 2)
+        acc += phase * damp
+    shad = 10.0 ** ((f[:, None] + f[None, :]) / 10.0) if np.any(f) else 1.0
+    return beta * shad * acc / phis.size
+
+
+def test_gaussian_shadowed_lag_row_matches_dense_grid():
+    rng = np.random.default_rng(13)
+    for case in range(60):
+        m = int(rng.integers(1, 400))
+        f = rng.normal(0, 3, m) if case % 2 else np.zeros(m)
+        phis = rng.uniform(0, 2 * np.pi, int(rng.integers(1, 5)))
+        d_h, sigma, beta = (0.5, 1.0, 5.0)[case % 3], rng.uniform(0, 0.3), rng.uniform(0.5, 2)
+        r = gaussian_ula_shadowed(UlaGeometry(m=1, d_h=d_h), f, phis, sigma_phi=sigma, beta=beta)
+        assert np.array_equal(r, dense_gaussian_shadowed(d_h, f, phis, sigma, beta))
+
+
 def test_gaussian_shadowed_capacity_gain():
     # Shadowing cannot change the lambda_min of D R D (same rank as R),
     # so the singular-spread claim is checked through its observable

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chansim import linalg
 from chansim.errors import InvalidMatrix, InvalidParam, NotPSD
 from chansim.gbsm import UlaGeometry, onering_ula
-from chansim.linalg import (check_hermitian, complex_gaussian, condition_number,
+from chansim.linalg import (PSD_RTOL, check_hermitian, complex_gaussian, condition_number,
                             log2_det_ipm, one_blas_thread, psd_eigvals, psd_sqrt,
                             sample_correlated)
+from chansim.metrics import capacity_single, capacity_ub
 
 
 def random_psd(m, rng):
@@ -137,9 +140,55 @@ def test_log2_det_ipm_monotone_in_scale():
 
 
 def test_log2_det_ipm_no_overflow_large_m():
-    # a raw determinant overflows here; the eigenvalue path must not
+    # a raw determinant overflows here; the log-det must not
     val = log2_det_ipm(np.eye(400), 1e6 / 400)
     assert np.isfinite(val)
+
+
+def shifted_low_rank():
+    """Rank-3 PSD matrix shifted by -2 PSD_RTOL lambda_max: just outside the noise band."""
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    r = b @ b.conj().T
+    return r - 2 * PSD_RTOL * np.linalg.eigvalsh(r)[-1] * np.eye(8)
+
+
+@pytest.mark.parametrize("r", [
+    np.diag([1.0, -0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]), shifted_low_rank(),
+], ids=["diag", "antidiag", "shifted-low-rank"])
+@pytest.mark.parametrize("fn", [
+    lambda r: log2_det_ipm(r, 1.0), lambda r: log2_det_ipm(r, 0.0),
+    lambda r: capacity_ub(r, 1e3),
+], ids=["log2_det_ipm", "log2_det_ipm-c0", "capacity_ub"])
+def test_log_det_rejects_indefinite(fn, r):
+    with pytest.raises(NotPSD):
+        fn(r)
+
+
+def test_log_det_inside_noise_band_takes_clipped_spectrum():
+    # lambda_max = 4 but max diag R ~ 1, so lambda_min = -2.5e-8 lies between
+    # -PSD_RTOL * lambda_max and the guard shift -PSD_RTOL * max diag R.
+    u = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    r = np.ones((4, 4)) - 2.5e-8 * np.outer(u, u)
+    c = 1e6
+    lam = psd_eigvals(r)
+    assert lam[-1] == 0.0
+    assert log2_det_ipm(r, c) == float(np.sum(np.log2(1.0 + c * lam)))
+    assert abs(log2_det_ipm(r, c) - np.linalg.slogdet(np.eye(4) + c * r)[1] / np.log(2)) > 1e-3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=st.integers(1, 40), rank=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       c=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)))
+def test_log_det_matches_eigen_domain_on_low_rank(m, rank, seed, c):
+    rng = np.random.default_rng(seed)
+    k = min(rank, m)
+    b = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    r = b @ b.conj().T
+    want = float(np.sum(np.log2(1.0 + c * np.clip(np.linalg.eigvalsh(r), 0.0, None))))
+    assert abs(log2_det_ipm(r, c) - want) <= 1e-8 * abs(want)
+    # capacity_single takes the Gram matrix of B: the same nonzero spectrum
+    assert abs(capacity_single(b, c * m) - want) <= 1e-8 * abs(want)
 
 
 def test_sample_correlated_zero_factor():

@@ -4,7 +4,7 @@ import pytest
 from chansim import linalg
 from chansim.cbsm import exponential_correlation
 from chansim.errors import InvalidMatrix, InvalidParam, ZeroVector
-from chansim.gbsm import UlaGeometry, onering_ula
+from chansim.gbsm import UlaGeometry, gaussian_ula_shadowed, onering_ula
 from chansim.linalg import complex_gaussian, psd_sqrt, sample_correlated
 from chansim.metrics import (capacity_single, capacity_ub, correlation_coefficient,
                              db_to_linear, mean_with_stderr, sinr_per_user)
@@ -49,6 +49,20 @@ def test_capacity_ub_anchors():
                       rtol=1e-9)
     assert np.isclose(capacity_ub(np.ones((m, m)), eta), np.log2(1 + eta),
                       rtol=1e-9)
+
+
+@pytest.mark.parametrize("r", [
+    gaussian_ula_shadowed(UlaGeometry(m=1), np.zeros(100), [np.pi / 2], sigma_phi=0.1),
+    gaussian_ula_shadowed(UlaGeometry(m=1), np.random.default_rng(12).normal(0, 2, 100),
+                          [np.pi / 2], sigma_phi=0.1),
+    exponential_correlation(100, 1.0),
+    onering_ula(UlaGeometry(m=100), phi=0.3, delta_phi=0.0, beta=0.7),
+], ids=["gaussian-phi90", "gaussian-phi90-shadowed", "exponential-rho1", "onering-delta0"])
+def test_capacity_ub_rank1_closed_form(r):
+    # rank 1: the only nonzero eigenvalue is tr R, so the bound is log2(1 + c tr R)
+    eta, m = 1e6, r.shape[0]
+    exact = np.log2(1.0 + eta / m * np.trace(r).real)
+    assert abs(capacity_ub(r, eta) - exact) <= 1e-11 * exact
 
 
 @pytest.mark.parametrize("capacity, r", [
