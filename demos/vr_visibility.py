@@ -37,9 +37,8 @@ def main():
 
     print()
     print("cluster visibility spans on a 100-antenna array")
-    scheme = xlmimo.ClusterScheme(kind="scheme1", d1=35.0, d2=20.0)
-    scenario = xlmimo.build_scenario(scheme, num_users=2, clusters_per_user=2,
-                                     r_bounds=(5.0, 10.0), rng=rng)
+    scenario = xlmimo.build_scenario("scheme1", num_users=2, clusters_per_user=2,
+                                     r_bounds=(5.0, 10.0), rng=rng, d1=35.0)
     for k, clusters in enumerate(scenario.clusters):
         for c in clusters:
             span = c.vr_span

@@ -36,9 +36,8 @@ def main():
     from chansim import precoding, xlmimo
     cfg = dataclasses.replace(preset("fig15a"), num_users=5)
     rng = np.random.default_rng(1)
-    scheme = xlmimo.ClusterScheme(kind="scheme1", d1=cfg.d1, d2=cfg.d2)
-    scenario = xlmimo.build_scenario(scheme, cfg.num_users, cfg.clusters_per_user,
-                                     rng, r_bounds=(cfg.r_min, cfg.r_max))
+    scenario = xlmimo.build_scenario("scheme1", cfg.num_users, cfg.clusters_per_user,
+                                     rng, r_bounds=(cfg.r_min, cfg.r_max), d1=cfg.d1)
     h = xlmimo.assemble_channel_matrix(scenario, rng)
     p = np.full(cfg.num_users, cfg.total_power / cfg.num_users)
     w = precoding.normalize_columns(precoding.cb_precoder(h), p)

@@ -79,7 +79,7 @@ def _check_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate conjugate symmetry of ``a`` and return it as a complex array."""
     a = _check_finite(a)
     if a.shape[0] != a.shape[1]:
@@ -87,10 +87,9 @@ def check_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     scale = np.abs(a).max()
     if scale > 0:
         resid = np.abs(a - a.conj().T).max()
-        if resid > rtol * scale:
-            raise InvalidMatrix(
-                f"Hermitian residual {resid:.3e} exceeds {rtol:.0e} * max|A| = {rtol * scale:.3e}"
-            )
+        if resid > HERMITIAN_RTOL * scale:
+            raise InvalidMatrix(f"Hermitian residual {resid:.3e} exceeds {HERMITIAN_RTOL:.0e}"
+                                f" * max|A| = {HERMITIAN_RTOL * scale:.3e}")
     return np.asarray(a, dtype=complex)
 
 

@@ -167,20 +167,16 @@ def _channels(cfg, rng, n: int, iid_gain: float = 1.0) -> list:
 def xl_sinr_noise_power(cfg) -> float:
     """Noise power pinned to the path-loss reference so SNR means received SNR."""
     eta = metrics.db_to_linear(cfg.snr_db)
-    l0_db = xlmimo.PathlossParams().l0_db
-    return cfg.total_power / eta * 10.0 ** (l0_db / 10.0)
+    return cfg.total_power / eta * 10.0 ** (xlmimo.L0_DB / 10.0)
 
 
 def xl_scenario(cfg, rng: np.random.Generator) -> xlmimo.XlScenario:
     """One draw of the configured XL geometry: clusters, radii and VR masks."""
-    scheme = xlmimo.ClusterScheme(kind=cfg.xl_scheme, d1=cfg.d1, d2=cfg.d2)
-    corr = xlmimo.ClusterCorrelation(kind=cfg.xl_correlation, rho=cfg.rho,
-                                     delta=np.radians(cfg.delta_deg))
-    geom = gbsm.UlaGeometry(m=cfg.m, d_h=xlmimo.VR_SPACING_WAVELENGTHS)
-    return xlmimo.build_scenario(scheme, cfg.num_users, cfg.clusters_per_user, rng,
-                                 geometry=geom, correlation=corr,
+    return xlmimo.build_scenario(cfg.xl_scheme, cfg.num_users, cfg.clusters_per_user, rng,
+                                 m=cfg.m, correlation=cfg.xl_correlation, rho=cfg.rho,
+                                 delta=np.radians(cfg.delta_deg),
                                  r_bounds=(cfg.r_min, cfg.r_max),
-                                 p0=cfg.p0, p1=cfg.p1, c=cfg.c)
+                                 p0=cfg.p0, p1=cfg.p1, c=cfg.c, d1=cfg.d1, d2=cfg.d2)
 
 
 def _capacity_ub(cfg, rng, scenario):

@@ -10,12 +10,16 @@ correlated small-scale fading draw.
 The array lies on the x-axis, centered at the origin.  Cluster and user
 positions are 2-D coordinates in meters; the azimuth convention is
 phi = 0 at broadside (the +y direction), so sin(phi) spans the array axis.
+
+Module constants fix the rest: a 0.125 m wavelength, 5-wavelength spacing,
+users 40 m out on broadside, and the path-loss law (L0_DB, D0, ALPHA_VR,
+ALPHA_NVR, NORMALIZATION).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +36,15 @@ SCHEME1_ARC = (-np.pi / 3.0, np.pi / 3.0)   # scheme-1 azimuths, radians about b
 CLUSTER_SCHEMES = ("scheme1", "scheme2")
 CLUSTER_CORRELATIONS = ("uncorrelated", "exponential", "onering")
 
+# Path loss of a cluster path of length d (meters): L0_DB - 10 alpha log10(d / D0)
+# dB, with alpha = ALPHA_VR on the cluster's VR span and ALPHA_NVR outside it;
+# the linear power gain is scaled by NORMALIZATION.
+L0_DB = -34.53
+D0 = 1.0
+ALPHA_VR = 3.0
+ALPHA_NVR = 6.0
+NORMALIZATION = DEFAULT_USER_DISTANCE**3  # A = d_tilde^alpha_VR
+
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
     """Far-field (Rayleigh) distance 2 D^2 / lambda in meters."""
@@ -40,51 +53,10 @@ def rayleigh_distance(aperture: float, wavelength: float) -> float:
     return 2.0 * aperture**2 / wavelength
 
 
-def antenna_positions(geom: UlaGeometry, wavelength: float) -> np.ndarray:
+def antenna_positions(geom: UlaGeometry) -> np.ndarray:
     """x-coordinates (meters) of the array elements, centered at the origin."""
-    spacing = geom.d_h * wavelength
+    spacing = geom.d_h * DEFAULT_WAVELENGTH
     return (np.arange(geom.m) - (geom.m - 1) / 2.0) * spacing
-
-
-@dataclass(frozen=True)
-class ClusterScheme:
-    """Cluster placement rule.
-
-    Scheme 1 puts every cluster at distance ``d1`` from the array center,
-    with azimuth uniform over ``SCHEME1_ARC``, +/-60 degrees about
-    broadside.  Scheme 2 puts clusters on a line parallel to the array at
-    perpendicular distance ``d2``, horizontal coordinate uniform over the
-    array extent.
-    """
-
-    kind: str
-    d1: float = 35.0
-    d2: float = 20.0
-
-    def __post_init__(self):
-        if self.kind not in CLUSTER_SCHEMES:
-            raise InvalidParam(f"unknown cluster scheme {self.kind!r}")
-        if self.d1 <= 0 or self.d2 <= 0:
-            raise InvalidParam("cluster distances must be > 0")
-
-
-@dataclass(frozen=True)
-class PathlossParams:
-    """Distance-dependent loss model: reference gain, exponents, normalization."""
-
-    l0_db: float = -34.53
-    d0: float = 1.0
-    alpha_vr: float = 3.0
-    alpha_nvr: float = 6.0
-    normalization: float = DEFAULT_USER_DISTANCE**3  # A = d_tilde^alpha_VR
-
-    def __post_init__(self):
-        if self.d0 <= 0:
-            raise InvalidParam(f"reference distance must be > 0, got {self.d0}")
-        if not self.alpha_nvr >= self.alpha_vr > 0:
-            raise InvalidParam("need alpha_nvr >= alpha_vr > 0")
-        if self.normalization < 0:
-            raise InvalidParam("normalization gain must be >= 0")
 
 
 @dataclass
@@ -144,14 +116,25 @@ def vr_mask_chain(m_vr: int, p0: float, p1: float, c: float,
     return mask
 
 
-def place_clusters(scheme: ClusterScheme, num_users: int, clusters_per_user: int,
+def place_clusters(scheme: str, num_users: int, clusters_per_user: int,
                    r_bounds: tuple[float, float], rng: np.random.Generator,
-                   array_length: float) -> list[list[tuple[np.ndarray, float]]]:
+                   array_length: float, d1: float = 35.0,
+                   d2: float = 20.0) -> list[list[tuple[np.ndarray, float]]]:
     """Cluster centers and radii for each user, without visibility data.
+
+    Scheme 1 puts every cluster at distance ``d1`` from the array center,
+    with azimuth uniform over ``SCHEME1_ARC``, +/-60 degrees about
+    broadside.  Scheme 2 puts clusters on a line parallel to the array at
+    perpendicular distance ``d2``, horizontal coordinate uniform over the
+    array extent.
 
     Returns a list (per user) of (center, radius) pairs; visibility masks
     and VR positions are attached by the scenario builder.
     """
+    if scheme not in CLUSTER_SCHEMES:
+        raise InvalidParam(f"unknown cluster scheme {scheme!r}")
+    if d1 <= 0 or d2 <= 0:
+        raise InvalidParam("cluster distances must be > 0")
     if clusters_per_user < 1:
         raise InvalidParam(f"clusters_per_user must be >= 1, got {clusters_per_user}")
     r_min, r_max = r_bounds
@@ -161,51 +144,49 @@ def place_clusters(scheme: ClusterScheme, num_users: int, clusters_per_user: int
     for _ in range(num_users):
         per_user = []
         for _ in range(clusters_per_user):
-            if scheme.kind == "scheme1":
+            if scheme == "scheme1":
                 az = rng.uniform(*SCHEME1_ARC)
-                center = np.array([scheme.d1 * np.sin(az), scheme.d1 * np.cos(az)])
+                center = np.array([d1 * np.sin(az), d1 * np.cos(az)])
             else:
                 x = rng.uniform(-array_length / 2.0, array_length / 2.0)
-                center = np.array([x, scheme.d2])
+                center = np.array([x, d2])
             per_user.append((center, rng.uniform(r_min, r_max)))
         out.append(per_user)
     return out
 
 
-def position_vr(center: np.ndarray, m_vr: int, geom: UlaGeometry,
-                wavelength: float) -> int:
+def position_vr(center: np.ndarray, m_vr: int, geom: UlaGeometry) -> int:
     """First antenna index (0-based) of a VR of length ``m_vr``.
 
     The span is centered on the antenna nearest the orthogonal projection
     of the cluster center onto the array line, shifted inward (not shrunk)
     when it would overhang an array edge.
     """
-    positions = antenna_positions(geom, wavelength)
+    positions = antenna_positions(geom)
     nearest = int(np.argmin(np.abs(positions - center[0])))
     lo = nearest - (m_vr - 1) // 2
     return max(0, min(lo, geom.m - m_vr))
 
 
-def pathloss_per_antenna(cluster: Cluster, user: np.ndarray, geom: UlaGeometry,
-                         params: PathlossParams,
-                         wavelength: float = DEFAULT_WAVELENGTH) -> np.ndarray:
+def pathloss_per_antenna(cluster: Cluster, user: np.ndarray,
+                         geom: UlaGeometry) -> np.ndarray:
     """Per-antenna linear amplitude gains for one cluster-user link.
 
     d(n) is the cluster-to-antenna distance plus the user-to-cluster
-    distance.  Antennas inside the positioned VR span use alpha_vr (with
+    distance.  Antennas inside the positioned VR span use ``ALPHA_VR`` (with
     amplitude zero where the mask marks an obstruction); antennas outside
-    use alpha_nvr.  The normalization gain enters as a linear power factor.
+    use ``ALPHA_NVR``.  ``NORMALIZATION`` enters as a linear power factor.
     """
-    positions = antenna_positions(geom, wavelength)
+    positions = antenna_positions(geom)
     cx, cy = cluster.center
     d = np.hypot(positions - cx, cy) + np.hypot(cx - user[0], cy - user[1])
-    if np.any(d < params.d0):
+    if np.any(d < D0):
         warnings.warn("link distance below reference distance, clamping", stacklevel=2)
-        d = np.maximum(d, params.d0)
-    alpha = np.full(geom.m, params.alpha_nvr)
-    alpha[cluster.vr_span] = params.alpha_vr
-    loss_db = params.l0_db - 10.0 * alpha * np.log10(d / params.d0)
-    amp = np.sqrt(10.0 ** (loss_db / 10.0) * params.normalization)
+        d = np.maximum(d, D0)
+    alpha = np.full(geom.m, ALPHA_NVR)
+    alpha[cluster.vr_span] = ALPHA_VR
+    loss_db = L0_DB - 10.0 * alpha * np.log10(d / D0)
+    amp = np.sqrt(10.0 ** (loss_db / 10.0) * NORMALIZATION)
     obstructed = np.zeros(geom.m, dtype=bool)
     obstructed[cluster.vr_span] = cluster.vr_mask == 0
     amp[obstructed] = 0.0
@@ -220,83 +201,69 @@ CLUSTER_CORR_SPACING = 0.5
 CLUSTER_CORR_QUADRATURE = QuadratureConfig(nodes_per_dim=101)
 
 
-@dataclass(frozen=True)
-class ClusterCorrelation:
-    """Correlation model applied to each cluster's small-scale fading.
-
-    The one-ring model is built on a ULA of 0.5-wavelength spacing
-    (``CLUSTER_CORR_SPACING``) with 101 quadrature nodes
-    (``CLUSTER_CORR_QUADRATURE``).
-    """
-
-    kind: str = "uncorrelated"   # one of CLUSTER_CORRELATIONS
-    rho: float = 0.5
-    delta: float = np.radians(10.0)
-
-    def __post_init__(self):
-        if self.kind not in CLUSTER_CORRELATIONS:
-            raise InvalidParam(f"unknown correlation kind {self.kind!r}")
-
-
 @dataclass
 class XlScenario:
-    """One realization of the XL-MIMO geometry: users, clusters, loss model."""
+    """One realization of the XL-MIMO geometry: users, clusters, correlation kind."""
 
     geometry: UlaGeometry
     users: np.ndarray                       # (K, 2) meters
     clusters: list[list[Cluster]]           # per user
-    pathloss: PathlossParams = field(default_factory=PathlossParams)
-    correlation: ClusterCorrelation = field(default_factory=ClusterCorrelation)
+    correlation: str                        # one of CLUSTER_CORRELATIONS
+    rho: float                              # exponential correlation coefficient
+    delta: float                            # one-ring angular spread, radians
 
     @property
     def num_users(self) -> int:
         return len(self.users)
 
 
-def build_scenario(scheme: ClusterScheme, num_users: int, clusters_per_user: int,
-                   rng: np.random.Generator,
-                   geometry: UlaGeometry | None = None,
-                   correlation: ClusterCorrelation | None = None,
+def build_scenario(scheme: str, num_users: int, clusters_per_user: int,
+                   rng: np.random.Generator, m: int = 100,
+                   correlation: str = "uncorrelated", rho: float = 0.5,
+                   delta: float = np.radians(10.0),
                    r_bounds: tuple[float, float] = (5.0, 10.0),
-                   p0: float = 0.05, p1: float = 0.95, c: float = 0.05) -> XlScenario:
+                   p0: float = 0.05, p1: float = 0.95, c: float = 0.05,
+                   d1: float = 35.0, d2: float = 20.0) -> XlScenario:
     """Draw one complete scenario: cluster placement, radii, VR masks, spans.
 
-    The carrier wavelength is ``DEFAULT_WAVELENGTH`` (0.125 m, 2.4 GHz),
-    every user sits ``DEFAULT_USER_DISTANCE`` (40 m) out on broadside, and
-    path loss is ``PathlossParams()``.
+    ``m`` antennas are spaced 5 wavelengths of 0.125 m (2.4 GHz), every user
+    sits 40 m out on broadside, and path loss follows ``L0_DB``, ``D0``,
+    ``ALPHA_VR``, ``ALPHA_NVR`` and ``NORMALIZATION``.  The exponential
+    ``correlation`` reads ``rho``; the one-ring one reads ``delta`` (radians).
     """
-    geometry = geometry or UlaGeometry(m=100, d_h=VR_SPACING_WAVELENGTHS)
-    correlation = correlation or ClusterCorrelation()
+    if correlation not in CLUSTER_CORRELATIONS:
+        raise InvalidParam(f"unknown correlation kind {correlation!r}")
+    geometry = UlaGeometry(m=m, d_h=VR_SPACING_WAVELENGTHS)
     users = np.tile([0.0, DEFAULT_USER_DISTANCE], (num_users, 1))
-    l_bs = (geometry.m - 1) * geometry.d_h * DEFAULT_WAVELENGTH
-    placed = place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, l_bs)
+    l_bs = (m - 1) * VR_SPACING_WAVELENGTHS * DEFAULT_WAVELENGTH
+    placed = place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, l_bs,
+                            d1=d1, d2=d2)
     clusters: list[list[Cluster]] = []
     for per_user in placed:
         row = []
         for center, radius in per_user:
-            m_vr = int(np.ceil(geometry.m * 2.0 * radius / l_bs))
-            m_vr = min(m_vr, geometry.m)
+            # A VR as long as the array covers it all, as any VR covers one antenna (l_bs = 0).
+            m_vr = m if 2.0 * radius >= l_bs else int(np.ceil(m * 2.0 * radius / l_bs))
             mask = vr_mask_chain(m_vr, p0, p1, c, rng)
-            lo = position_vr(center, m_vr, geometry, DEFAULT_WAVELENGTH)
+            lo = position_vr(center, m_vr, geometry)
             row.append(Cluster(center=center, radius=radius, vr_mask=mask, vr_lo=lo))
         clusters.append(row)
     return XlScenario(geometry=geometry, users=users, clusters=clusters,
-                      correlation=correlation)
+                      correlation=correlation, rho=rho, delta=delta)
 
 
 def cluster_correlation_matrix(scenario: XlScenario, cluster: Cluster) -> np.ndarray | None:
     """Correlation matrix for one cluster, or None for the uncorrelated model."""
-    spec = scenario.correlation
     m = scenario.geometry.m
-    if spec.kind == "uncorrelated":
+    if scenario.correlation == "uncorrelated":
         return None
-    if spec.kind == "exponential":
-        return exponential_correlation(m, spec.rho)
-    positions = antenna_positions(scenario.geometry, DEFAULT_WAVELENGTH)
+    if scenario.correlation == "exponential":
+        return exponential_correlation(m, scenario.rho)
+    positions = antenna_positions(scenario.geometry)
     vr_center = positions[cluster.vr_center_antenna]
     phi = np.arctan2(cluster.center[0] - vr_center, cluster.center[1])
     geom = UlaGeometry(m=m, d_h=CLUSTER_CORR_SPACING)
-    return onering_ula(geom, phi=phi, delta_phi=spec.delta, quad=CLUSTER_CORR_QUADRATURE)
+    return onering_ula(geom, phi=phi, delta_phi=scenario.delta, quad=CLUSTER_CORR_QUADRATURE)
 
 
 def cluster_channel(beta: np.ndarray, r: np.ndarray | None,
@@ -316,8 +283,7 @@ def user_channel(scenario: XlScenario, k: int, rng: np.random.Generator) -> np.n
     """Channel vector of user k: sum over that user's clusters."""
     h = np.zeros(scenario.geometry.m, dtype=complex)
     for cluster in scenario.clusters[k]:
-        beta = pathloss_per_antenna(cluster, scenario.users[k], scenario.geometry,
-                                    scenario.pathloss)
+        beta = pathloss_per_antenna(cluster, scenario.users[k], scenario.geometry)
         r = cluster_correlation_matrix(scenario, cluster)
         h += cluster_channel(beta, r, rng)
     return h

@@ -215,6 +215,22 @@ sweep.grid = 20
     assert proc.returncode == 3
 
 
+def test_run_one_antenna_xl(tmp_path, capsys):
+    # a one-antenna array has zero length; every visibility region covers it
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("""
+model = xl
+metric = sinr
+trials = 3
+geometry.m = 1
+sweep.param = num_users
+sweep.grid = 1
+""")
+    assert cli.main(["run", "--config", str(cfg), "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].startswith("num_users,") and len(lines) == 2
+
+
 def test_unwritable_output_exit_4(tmp_path):
     cfg = tmp_path / "c.txt"
     cfg.write_text(CONFIG)
