@@ -26,7 +26,7 @@ def exponential_correlation(m: int, rho: float) -> np.ndarray:
     if not 0.0 <= rho <= 1.0:
         raise InvalidParam(f"correlation factor must be in [0, 1], got {rho}")
     k = np.arange(m)
-    return np.asarray(rho ** np.abs(k[:, None] - k[None, :]), dtype=float)
+    return np.asarray((rho ** k)[np.abs(k[:, None] - k[None, :])], dtype=float)
 
 
 def draw_shadowing(m: int, sigma_shad: float, rng: np.random.Generator) -> np.ndarray:
@@ -67,6 +67,7 @@ def exponential_with_shadowing(f: np.ndarray, rho: float, theta: float,
         raise InvalidParam(f"shadow draw must be 1-D, got shape {f.shape}")
     k = np.arange(f.size)
     diff = k[None, :] - k[:, None]  # n - m
-    base = exponential_correlation(f.size, rho) * np.exp(1j * diff * theta)
+    phase = np.exp(1j * np.arange(1 - f.size, f.size) * theta)  # once per lag, then gathered
+    base = exponential_correlation(f.size, rho) * phase[diff + f.size - 1]
     shad = 10.0 ** ((f[:, None] + f[None, :]) / 20.0)
     return beta * base * shad

@@ -3,9 +3,10 @@
 PSD eigenvalues and matrix square roots, condition numbers,
 log-determinants by a PSD-guarded Cholesky factorization (with the
 eigenvalue path as its fallback) and correlated complex Gaussian sampling.
-Every routine takes and returns plain numpy arrays or floats.  All
-correlation-matrix consumers in the package go through these routines so
-that the Hermitian check and the PSD clipping policy live in one place.
+Every routine takes and returns plain numpy arrays or floats, and factors
+a centrohermitian matrix (every Hermitian Toeplitz one) in real arithmetic.
+All correlation-matrix consumers in the package go through these routines
+so that the Hermitian check and the PSD clipping policy live in one place.
 :func:`one_blas_thread` scopes numpy's BLAS to one thread.
 """
 
@@ -93,6 +94,18 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def _factor_form(a: np.ndarray) -> np.ndarray:
+    """``check_hermitian(a)``, or S = Re(U^H a U), U = (I + iJ)/sqrt(2), if a is centrohermitian.
+
+    J is the exchange matrix.  When max|J a J - conj(a)| <= HERMITIAN_RTOL * max|a|, a is
+    unitarily similar to the real symmetric S up to that residual (A. Lee, LAA 29, 1980).
+    """
+    a = check_hermitian(a)
+    if np.abs(a[::-1, ::-1] - a.conj()).max() > HERMITIAN_RTOL * np.abs(a).max():
+        return a
+    return (a.real + a.real[::-1, ::-1] + a.imag[::-1, :] - a.imag[:, ::-1]) / 2.0
+
+
 def _clip_psd(values: np.ndarray) -> np.ndarray:
     """Clip a nonincreasing spectrum to >= 0; raise :class:`NotPSD` below the noise band."""
     lam_max = values[0] if values.size else 0.0
@@ -109,7 +122,7 @@ def psd_eigvals(a: np.ndarray) -> np.ndarray:
 
     Raises :class:`NotPSD` if any eigenvalue is below ``-PSD_RTOL * lambda_max``.
     """
-    return _clip_psd(np.linalg.eigvalsh(check_hermitian(a))[::-1])
+    return _clip_psd(np.linalg.eigvalsh(_factor_form(a))[::-1])
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -118,12 +131,15 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     Eigenvalues in the numerical-noise band below zero are clipped before
     taking the square root, so rank-deficient correlation matrices (one-ring
     with a small angular spread, for instance) are handled without Cholesky
-    failures.
+    failures.  A centrohermitian ``a`` gets U T U^H, T the root of its real form.
     """
-    vals, vecs = np.linalg.eigh(check_hermitian(a))
+    vals, vecs = np.linalg.eigh(_factor_form(a))
     lam = _clip_psd(vals[::-1])
     u = vecs[:, ::-1]
-    return (u * np.sqrt(lam)) @ u.conj().T
+    t = (u * np.sqrt(lam)) @ u.conj().T
+    if np.iscomplexobj(t):
+        return t
+    return (t + t[::-1, ::-1]) / 2.0 + 1j * (t[::-1, :] - t[:, ::-1]) / 2.0
 
 
 def condition_number(a: np.ndarray) -> float:
@@ -148,10 +164,11 @@ def _shifted_cholesky(a: np.ndarray, scale: float, shift: float) -> np.ndarray:
 
 
 def log2_det_ipm(r: np.ndarray, c: float) -> float:
-    """log2 det(I + c R) for PSD R, as 2 sum log2 diag(L) with L L^H = I + c R.
+    """log2 det(I + c R) for PSD R, as 2 sum log2 diag(L) with L L^H = I + c A.
 
-    A first Cholesky factorization of R + tau I, tau = PSD_RTOL * max diag R,
-    guards the PSD policy: max diag R <= lambda_max, so its success means
+    A is R or its real form (:func:`_factor_form`), with R's spectrum.  A
+    first Cholesky factorization of A + tau I, tau = PSD_RTOL * max diag A,
+    guards the PSD policy: max diag A <= lambda_max, so its success means
     lambda_min > -PSD_RTOL * lambda_max and :func:`psd_eigvals` would accept
     R.  If either factorization fails, the value comes from the clipped
     spectrum instead, which raises :class:`NotPSD` for an indefinite R.
@@ -160,7 +177,7 @@ def log2_det_ipm(r: np.ndarray, c: float) -> float:
     """
     if c < 0:
         raise InvalidParam(f"scale factor must be >= 0, got {c}")
-    a = check_hermitian(r)
+    a = _factor_form(r)
     try:
         _shifted_cholesky(a, 1.0, PSD_RTOL * a.diagonal().real.max())
         l = _shifted_cholesky(a, c, 1.0)

@@ -209,10 +209,15 @@ def _corr_coeff(cfg, rng, scenario):
 def _sinr(cfg, rng, scenario):
     scen = scenario if scenario is not None else xl_scenario(cfg, rng)
     h = xlmimo.assemble_channel_matrix(scen, rng)
-    w = precoding.cb_precoder(h) if cfg.precoder == "cb" else precoding.zf_precoder(h)
-    p = np.full(cfg.num_users, cfg.total_power / cfg.num_users)
-    w = precoding.normalize_columns(w, p, cfg.power_convention)
-    gam = metrics.sinr_per_user(h, w, xl_sinr_noise_power(cfg))
+    # A user whose every antenna is obstructed takes no precoder column and scores 0.
+    live = np.any(h, axis=0)
+    gam = np.zeros(cfg.num_users)
+    if live.any():
+        h = h[:, live]
+        w = precoding.cb_precoder(h) if cfg.precoder == "cb" else precoding.zf_precoder(h)
+        p = np.full(h.shape[1], cfg.total_power / cfg.num_users)
+        w = precoding.normalize_columns(w, p, cfg.power_convention)
+        gam[live] = metrics.sinr_per_user(h, w, xl_sinr_noise_power(cfg))
     return float(gam.mean())
 
 

@@ -100,7 +100,9 @@ def vr_mask_chain(m_vr: int, p0: float, p1: float, c: float,
     if m_vr < 1:
         raise InvalidParam(f"mask length must be >= 1, got {m_vr}")
     mask = np.zeros(m_vr, dtype=np.int8)
-    visible = int(rng.random() < 0.5)
+    # One array draw gives the same m_vr + 1 uniforms as one scalar draw each.
+    u = rng.random(m_vr + 1)
+    visible = int(u[0] < 0.5)
     i = 0.0
     for n in range(m_vr):
         mask[n] = visible
@@ -112,7 +114,7 @@ def vr_mask_chain(m_vr: int, p0: float, p1: float, c: float,
             i += c
         else:
             p_visible = 1.0
-        visible = int(rng.random() < min(p_visible, 1.0))
+        visible = int(u[n + 1] < min(p_visible, 1.0))
     return mask
 
 

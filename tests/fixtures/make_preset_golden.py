@@ -11,11 +11,15 @@ tolerance, because their last digits depend on the BLAS build and its
 thread count.  Regenerate only for such a deliberate change, and say
 why in the change's notes.  Run from the repository root:
 
-    PYTHONPATH=src python3 tests/fixtures/make_preset_golden.py
+    PYTHONPATH=src python3 tests/fixtures/make_preset_golden.py [PRESET ...]
+
+Named presets have only their entries rewritten; every other entry keeps
+its bytes.  Without names, every entry is rewritten.
 """
 
 import dataclasses
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -45,12 +49,19 @@ def render(name: str, directory) -> dict:
             "manifest": manifest.read_bytes().decode("utf-8").splitlines()}
 
 
-def main():
+def main(names):
+    unknown = sorted(set(names) - set(preset_names()))
+    if unknown:
+        sys.exit(f"unknown preset(s): {', '.join(unknown)}")
+    out = json.loads(FIXTURE.read_text(encoding="utf-8")) if names else {}
+    names = sorted(set(names)) or preset_names()
     with tempfile.TemporaryDirectory() as tmp:
-        out = {name: render(name, tmp) for name in sorted(preset_names())}
-    FIXTURE.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(out)} presets to {FIXTURE}")
+        for name in names:
+            out[name] = render(name, tmp)
+    FIXTURE.write_text(json.dumps(dict(sorted(out.items())), indent=1) + "\n",
+                       encoding="utf-8")
+    print(f"wrote {len(names)} presets to {FIXTURE}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

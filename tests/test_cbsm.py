@@ -110,6 +110,24 @@ def test_exponential_with_shadowing_hermitian():
     psd_eigvals(r)  # no NotPSD
 
 
+def test_exponential_lag_gather_matches_dense_grid():
+    # rho^k and the AoA phase are evaluated once per lag and gathered; the
+    # entries must equal the per-entry dense grid bit for bit
+    rng = np.random.default_rng(14)
+    for case in range(60):
+        m = int(rng.integers(1, 400))
+        rho = (0.0, 1.0, rng.uniform(0, 1))[case % 3]
+        theta, beta = rng.uniform(-4, 4), rng.uniform(0.5, 2)
+        f = rng.normal(0, 3, m) if case % 2 else np.zeros(m)
+        k = np.arange(m)
+        diff = k[None, :] - k[:, None]
+        dense = np.asarray(rho ** np.abs(diff), dtype=float)
+        assert np.array_equal(exponential_correlation(m, rho), dense)
+        shad = 10.0 ** ((f[:, None] + f[None, :]) / 20.0)
+        want = beta * (dense * np.exp(1j * diff * theta)) * shad
+        assert np.array_equal(exponential_with_shadowing(f, rho, theta, beta), want)
+
+
 def test_shadowed_capacity_increases_with_m_near_full_correlation():
     # At rho = 1 exactly the shadowed matrix is rank-1 (phase and shadow
     # factors separate), so capacity is flat in M; just below 1 the

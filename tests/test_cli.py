@@ -216,19 +216,24 @@ sweep.grid = 20
 
 
 def test_run_one_antenna_xl(tmp_path, capsys):
-    # a one-antenna array has zero length; every visibility region covers it
-    cfg = tmp_path / "c.txt"
-    cfg.write_text("""
+    # a one-antenna array has zero length; every visibility region covers it.
+    # Seeds 2, 3, 4, 6 and 7 draw a trial whose one antenna is obstructed for
+    # both clusters: that user's channel is zero and scores SINR 0.
+    for precoder in ("cb", "zf"):
+        cfg = tmp_path / f"{precoder}.txt"
+        cfg.write_text(f"""
 model = xl
 metric = sinr
 trials = 3
 geometry.m = 1
+xl.precoder = {precoder}
 sweep.param = num_users
 sweep.grid = 1
 """)
-    assert cli.main(["run", "--config", str(cfg), "--seed", "1"]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0].startswith("num_users,") and len(lines) == 2
+        for seed in (1, 2, 3, 4, 6, 7):
+            assert cli.main(["run", "--config", str(cfg), "--seed", str(seed)]) == 0
+            lines = capsys.readouterr().out.strip().split("\n")
+            assert lines[0].startswith("num_users,") and len(lines) == 2
 
 
 def test_unwritable_output_exit_4(tmp_path):

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansim import linalg
+from chansim.cbsm import exponential_correlation
 from chansim.errors import InvalidMatrix, InvalidParam, NotPSD
-from chansim.gbsm import UlaGeometry, onering_ula
+from chansim.gbsm import (UlaGeometry, UpaGeometry, gaussian_ula_closed, gaussian_ula_numeric,
+                          gaussian_ula_shadowed, gaussian_upa, onering_ula, onering_upa)
 from chansim.linalg import (PSD_RTOL, check_hermitian, complex_gaussian, condition_number,
                             log2_det_ipm, one_blas_thread, psd_eigvals, psd_sqrt,
                             sample_correlated)
@@ -179,16 +181,138 @@ def test_log_det_inside_noise_band_takes_clipped_spectrum():
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(m=st.integers(1, 40), rank=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-       c=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)))
-def test_log_det_matches_eigen_domain_on_low_rank(m, rank, seed, c):
+       c=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), toeplitz=st.booleans())
+def test_log_det_matches_eigen_domain_on_low_rank(m, rank, seed, c, toeplitz):
     rng = np.random.default_rng(seed)
     k = min(rank, m)
-    b = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    if toeplitz:
+        # weighted steering vectors: B B^H is Hermitian Toeplitz, so the real form runs
+        angles = rng.uniform(-np.pi, np.pi, k)
+        b = np.exp(1j * np.arange(m)[:, None] * angles) * rng.uniform(0.1, 2.0, k)
+    else:
+        b = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
     r = b @ b.conj().T
+    assert (linalg._factor_form(r).dtype == float) >= toeplitz
     want = float(np.sum(np.log2(1.0 + c * np.clip(np.linalg.eigvalsh(r), 0.0, None))))
     assert abs(log2_det_ipm(r, c) - want) <= 1e-8 * abs(want)
     # capacity_single takes the Gram matrix of B: the same nonzero spectrum
     assert abs(capacity_single(b, c * m) - want) <= 1e-8 * abs(want)
+
+
+def hermitian_toeplitz(col):
+    """Hermitian Toeplitz matrix with first column ``col`` (col[0] real)."""
+    col = np.asarray(col, dtype=complex)
+    k = np.arange(col.size)
+    lag = k[:, None] - k[None, :]
+    return np.where(lag >= 0, col[np.abs(lag)], col[np.abs(lag)].conj())
+
+
+def random_toeplitz(m, rng):
+    col = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    col[0] = col[0].real
+    return hermitian_toeplitz(col)
+
+
+def centrohermitian_cases():
+    rng = np.random.default_rng(20)
+    for m in (1, 2, 7, 8, 33, 100, 101):
+        geom = UlaGeometry(m=m)
+        yield f"toeplitz-{m}", random_toeplitz(m, rng)
+        yield f"onering-{m}", onering_ula(geom, phi=0.4, delta_phi=0.2)
+        yield f"gaussian-num-{m}", gaussian_ula_numeric(geom, phi=-0.7, sigma_phi=0.1)
+        yield f"gaussian-closed-{m}", gaussian_ula_closed(geom, phi=1.1, sigma_phi=0.05)
+        yield f"exponential-{m}", exponential_correlation(m, 0.9)
+    for m_h, m_v in ((3, 4), (5, 5)):
+        geom = UpaGeometry(m_h=m_h, m_v=m_v)
+        yield f"onering-upa-{m_h}x{m_v}", onering_upa(
+            geom, phi=0.3, theta=0.2, delta_phi=0.4, delta_theta=0.1)
+        yield f"gaussian-upa-{m_h}x{m_v}", gaussian_upa(
+            geom, phi=0.3, theta=-0.2, sigma_phi=0.2, sigma_theta=0.1)
+
+
+CENTROHERMITIAN = dict(centrohermitian_cases())
+
+
+def shadowed_gaussian(seed):
+    """A D K D matrix: the shadow gains break J R J = conj(R)."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(0.0, 4.0, 40)
+    return gaussian_ula_shadowed(UlaGeometry(m=1), f, np.array([0.3, 1.2]), sigma_phi=0.1)
+
+
+@pytest.mark.parametrize("name", sorted(CENTROHERMITIAN))
+def test_real_form_is_the_unitary_similarity(name):
+    r = CENTROHERMITIAN[name]
+    m = r.shape[0]
+    u = (np.eye(m) + 1j * np.eye(m)[::-1]) / np.sqrt(2.0)
+    s = linalg._factor_form(r)
+    assert s.dtype == float
+    assert np.abs(s - (u.conj().T @ r @ u).real).max() <= 1e-15 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("name", sorted(CENTROHERMITIAN) + ["shadowed", "random-psd"])
+def test_psd_sqrt_is_a_hermitian_root_on_both_paths(name):
+    if name in CENTROHERMITIAN:
+        r = CENTROHERMITIAN[name]
+        if name.startswith("toeplitz"):
+            # shifted by its smallest eigenvalue: PSD, still Toeplitz and singular
+            r = r - np.linalg.eigvalsh(r)[0] * np.eye(r.shape[0])
+    elif name == "shadowed":
+        r = shadowed_gaussian(1)
+    else:
+        r = random_psd(16, np.random.default_rng(21))
+    real_path = linalg._factor_form(r).dtype == float
+    assert real_path == (name in CENTROHERMITIAN)
+    s = psd_sqrt(r)
+    assert s.dtype == complex
+    check_hermitian(s)
+    assert np.abs(s @ s.conj().T - r).max() <= 1e-9 * psd_eigvals(r)[0]
+
+
+@pytest.mark.parametrize("col", [[1.0, 2.0, 0.0, 0.0], [1.0, 1.5j, 0.0, 0.5, 0.0]],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("fn", [psd_sqrt, psd_eigvals, lambda r: log2_det_ipm(r, 1.0)],
+                         ids=["psd_sqrt", "psd_eigvals", "log2_det_ipm"])
+def test_indefinite_toeplitz_raises_on_real_path(fn, col):
+    r = hermitian_toeplitz(col)
+    assert linalg._factor_form(r).dtype == float
+    assert np.linalg.eigvalsh(r)[0] < -0.1
+    with pytest.raises(NotPSD):
+        fn(r)
+
+
+# Reference copies of the complex path: a matrix that is not centrohermitian
+# must still take it unchanged.
+def complex_psd_eigvals(a):
+    return linalg._clip_psd(np.linalg.eigvalsh(check_hermitian(a))[::-1])
+
+
+def complex_psd_sqrt(a):
+    vals, vecs = np.linalg.eigh(check_hermitian(a))
+    lam = linalg._clip_psd(vals[::-1])
+    u = vecs[:, ::-1]
+    return (u * np.sqrt(lam)) @ u.conj().T
+
+
+def complex_log2_det_ipm(r, c):
+    a = check_hermitian(r)
+    try:
+        linalg._shifted_cholesky(a, 1.0, PSD_RTOL * a.diagonal().real.max())
+        l = linalg._shifted_cholesky(a, c, 1.0)
+    except np.linalg.LinAlgError:
+        lam = linalg._clip_psd(np.linalg.eigvalsh(a)[::-1])
+        return float(np.sum(np.log2(1.0 + c * lam)))
+    return float(2.0 * np.sum(np.log2(l.diagonal().real)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shadowed_matrix_keeps_the_complex_path_bit_for_bit(seed):
+    r = shadowed_gaussian(seed)
+    assert linalg._factor_form(r).dtype == complex
+    assert np.array_equal(psd_sqrt(r), complex_psd_sqrt(r))
+    assert np.array_equal(psd_eigvals(r), complex_psd_eigvals(r))
+    for c in (0.0, 1e-3, 25.0, 1e6):
+        assert log2_det_ipm(r, c) == complex_log2_det_ipm(r, c)
 
 
 def test_sample_correlated_zero_factor():

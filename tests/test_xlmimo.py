@@ -7,6 +7,8 @@ from chansim import xlmimo
 from chansim.config import ExperimentConfig, SweepSpec
 from chansim.errors import InvalidParam
 from chansim.gbsm import UlaGeometry
+from chansim.metrics import sinr_per_user
+from chansim.precoding import cb_precoder, normalize_columns, zf_precoder
 from chansim.registry import METRICS, xl_sinr_noise_power
 from chansim.xlmimo import (L0_DB, NORMALIZATION, Cluster, antenna_positions,
                             assemble_channel_matrix, build_scenario,
@@ -294,6 +296,24 @@ def test_scheme_validation():
         build_scenario("scheme1", 1, 1, rng, d1=-5.0)
     with pytest.raises(InvalidParam, match="unknown correlation kind"):
         build_scenario("scheme1", 1, 1, rng, correlation="gaussian")
+
+
+@pytest.mark.parametrize("precoder", ["cb", "zf"])
+def test_sinr_scores_obstructed_user_zero(monkeypatch, precoder):
+    # user 1's channel is all zero: it gets no precoder column and SINR 0,
+    # and the others keep the per-user power total_power / K
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    h[:, 1] = 0.0
+    monkeypatch.setattr(xlmimo, "assemble_channel_matrix", lambda scen, rng: h)
+    cfg = ExperimentConfig(model="xl", metric="sinr", sweep=SweepSpec("num_users", (3,)),
+                           m=8, num_users=3, total_power=3.0, precoder=precoder)
+    live = h[:, [0, 2]]
+    w = cb_precoder(live) if precoder == "cb" else zf_precoder(live)
+    w = normalize_columns(w, np.full(2, 1.0))
+    want = sinr_per_user(live, w, xl_sinr_noise_power(cfg)).sum() / 3
+    got = METRICS["sinr"].trial(cfg, np.random.default_rng(0), object())
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 # Exact-moment oracle.  For a fixed scenario, user k's channel is CN(0, C_k)
