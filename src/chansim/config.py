@@ -53,6 +53,13 @@ _RULES = {
 }
 
 
+# Spread fields that a planar model needs strictly positive.
+_PLANAR_SPREADS = {
+    "onering_upa": ("delta_deg", "delta_theta_deg"),
+    "gaussian_upa": ("sigma_phi_deg", "sigma_theta_deg"),
+}
+
+
 def _key(key: str, default=dataclasses.MISSING, sweep: str | None = None,
          rule: str | None = None):
     """A config field with its document key, sweep name and range rule.
@@ -135,6 +142,12 @@ class ExperimentConfig:
                     f"{f.metadata['key']} must be {rule}, got {getattr(self, f.name)}")
         if self.r_max < self.r_min:
             raise ConfigError(f"xl.r_max must be >= xl.r_min = {self.r_min}, got {self.r_max}")
+        # The planar builders integrate over a window of each spread; zero leaves none.
+        for name in _PLANAR_SPREADS.get(self.model, ()):
+            if getattr(self, name) <= 0:
+                key = self.__dataclass_fields__[name].metadata["key"]
+                raise ConfigError(f"{key} must be > 0 for model '{self.model}', "
+                                  f"got {getattr(self, name)}")
         # the same tolerance as xlmimo.vr_mask_chain
         if not np.isclose(self.p0 + self.p1, 1.0):
             raise ConfigError(f"xl.p0 + xl.p1 must equal 1, got {self.p0 + self.p1}")

@@ -28,16 +28,22 @@ from chansim.runner import emit_csv, run_experiment
 
 FIXTURE = Path(__file__).with_name("preset_golden.json")
 MAX_TRIALS = 2
+# Grid values kept: the sweep's, then the first, second and third curve's.
+GRID_VALUES = (2, 2, 1, 1)
 
 
-def trimmed(name: str):
-    """The preset's config at the fixture's trial count and grids."""
+def trimmed(name: str, max_trials: int = MAX_TRIALS, grid_values=GRID_VALUES):
+    """The preset's config at no more than ``max_trials`` trials and short grids.
+
+    The sweep grid keeps its first ``grid_values[0]`` values and the i-th
+    curve grid its first ``grid_values[i]``.  The defaults give the
+    fixture's configs.
+    """
     cfg = preset(name)
-    curves = tuple(dataclasses.replace(c, grid=c.grid[:2 if i == 0 else 1])
-                   for i, c in enumerate(cfg.curves))
-    return dataclasses.replace(
-        cfg, trials=min(cfg.trials, MAX_TRIALS),
-        sweep=dataclasses.replace(cfg.sweep, grid=cfg.sweep.grid[:2]), curves=curves)
+    sweep, *curves = (dataclasses.replace(s, grid=s.grid[:n])
+                      for s, n in zip((cfg.sweep,) + cfg.curves, grid_values))
+    return dataclasses.replace(cfg, trials=min(cfg.trials, max_trials), sweep=sweep,
+                               curves=tuple(curves))
 
 
 def render(name: str, directory) -> dict:

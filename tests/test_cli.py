@@ -156,6 +156,21 @@ sweep.grid = 16
     ("model = gaussian_upa" + AT_M16 + "model.sigma_theta_deg = -1\n",
      "model.sigma_theta_deg", ()),
     ("model = onering_upa" + AT_M16 + "geometry.m_h = -3\n", "geometry.m_h", ()),
+    ("model = onering_upa" + AT_M16 + "model.delta_deg = 0\n", "model.delta_deg", ()),
+    ("model = onering_upa" + AT_M16 + "model.delta_theta_deg = 0\n",
+     "model.delta_theta_deg", ()),
+    ("model = gaussian_upa" + AT_M16 + "model.sigma_phi_deg = 0\n",
+     "model.sigma_phi_deg", ()),
+    ("model = gaussian_upa" + AT_M16 + "model.sigma_theta_deg = 0\n",
+     "model.sigma_theta_deg", ()),
+    ("model = onering_upa" + AT_M16.replace("param = m", "param = delta")
+     .replace("grid = 16", "grid = 10,0"), "{'delta': 0}: model.delta_deg", ()),
+    ("model = onering_upa" + AT_M16.replace("param = m", "param = delta_theta")
+     .replace("grid = 16", "grid = 10,0"), "{'delta_theta': 0}: model.delta_theta_deg", ()),
+    ("model = gaussian_upa" + AT_M16.replace("param = m", "param = sigma_phi")
+     .replace("grid = 16", "grid = 10,0"), "{'sigma_phi': 0}: model.sigma_phi_deg", ()),
+    ("model = gaussian_upa" + AT_M16.replace("param = m", "param = sigma_theta")
+     .replace("grid = 16", "grid = 10,0"), "{'sigma_theta': 0}: model.sigma_theta_deg", ()),
     (XL + "xl.freeze_geometry = 5\n", "xl.freeze_geometry", ()),
     (XL + "model.rho = 3\n", "model.rho", ()),
     (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "10.5,11.5,16.7"),
@@ -169,8 +184,10 @@ sweep.grid = 16
         "clusters_per_user", "vr_antennas", "r_min", "r_max", "p0", "p0_p1_outside",
         "p0_p1_sum", "c", "d2", "snr_nan", "total_power_inf", "range_nan", "range_inf",
         "list_inf", "rho", "beta", "delta", "sigma_phi", "delta_theta", "sigma_theta",
-        "m_h", "freeze_geometry", "xl_rho", "m_grid_fraction", "num_users_grid_fraction",
-        "curve_repeats_sweep"])
+        "m_h", "upa_delta_zero", "upa_delta_theta_zero", "upa_sigma_phi_zero",
+        "upa_sigma_theta_zero", "upa_delta_grid_zero", "upa_delta_theta_grid_zero",
+        "upa_sigma_phi_grid_zero", "upa_sigma_theta_grid_zero", "freeze_geometry", "xl_rho",
+        "m_grid_fraction", "num_users_grid_fraction", "curve_repeats_sweep"])
 def test_invalid_value_exit_2(tmp_path, text, named, args):
     cfg = tmp_path / "c.txt"
     cfg.write_text(text)

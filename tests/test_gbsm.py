@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -276,6 +277,54 @@ def test_upa_lag_table_matches_dense_assembly(m_h, m_v, d_h, d_v, phi, theta,
         assert np.abs(r - oracle).max() <= 1e-13
         assert np.array_equal(r, r.conj().T)
         assert np.all(np.diag(r) == beta)
+
+
+def mp_upa_first_row(geom, az, el, weights):
+    """Row 0 of sum_ij W_ij a(az_i, el_j) a(az_i, el_j)^H in 30-digit arithmetic.
+
+    The float64 nodes and weights are taken as exact; only the sum is exact
+    to the working precision.
+    """
+    with mpmath.workdps(30):
+        sin_az = [mpmath.sin(mpmath.mpf(a)) for a in az]
+        cos_el = [mpmath.cos(mpmath.mpf(e)) for e in el]
+        sin_el = [mpmath.sin(mpmath.mpf(e)) for e in el]
+        row = []
+        for n in range(geom.m):
+            p_y, p_z = upa_antenna_index(geom, n + 1)
+            acc = mpmath.mpc(0)
+            for j in range(len(el)):
+                v = mpmath.mpf(geom.d_v) * p_z * sin_el[j]
+                h = mpmath.mpf(geom.d_h) * p_y * cos_el[j]
+                for i in range(len(az)):
+                    # a_0 conj(a_n) = exp(-2 pi i (d_H p_y cos sin + d_V p_z sin))
+                    acc += mpmath.mpf(weights[i, j]) * mpmath.expjpi(-2 * (h * sin_az[i] + v))
+            row.append(complex(acc))
+    return np.array(row)
+
+
+@pytest.mark.parametrize("d_h", [0.5, 10.0])
+@pytest.mark.filterwarnings("ignore::chansim.errors.QuadratureWarning")
+def test_upa_long_lag_chain_matches_extended_precision(d_h):
+    # M_H = 20 is the longest horizontal lag chain of the presets; at
+    # d_H = 10 the largest phase is about 2 pi * 10 * 19 rad.
+    geom = UpaGeometry(m_h=20, m_v=2, d_h=d_h, d_v=0.5)
+    quad = QuadratureConfig(nodes_per_dim=21)
+    phi, theta = 0.4, 0.2
+    x, w = np.polynomial.legendre.leggauss(21)
+    d_az, w_az = gbsm._truncated_gaussian_nodes(np.radians(10), quad)
+    d_el, w_el = gbsm._truncated_gaussian_nodes(np.radians(5), quad)
+    cases = [
+        (onering_upa(geom, phi=phi, theta=theta, delta_phi=np.radians(30),
+                     delta_theta=np.radians(10), quad=quad),
+         mp_upa_first_row(geom, phi + np.radians(30) * x, theta + np.radians(10) * x,
+                          np.outer(w, w) / 4.0)),
+        (gaussian_upa(geom, phi=phi, theta=theta, sigma_phi=np.radians(10),
+                      sigma_theta=np.radians(5), quad=quad),
+         mp_upa_first_row(geom, phi + d_az, theta + d_el, np.outer(w_az, w_el))),
+    ]
+    for r, oracle in cases:
+        assert np.abs(r[0] - oracle).max() <= 1e-13
 
 
 def test_gaussian_upa_capacity_exceeds_onering():

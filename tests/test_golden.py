@@ -18,6 +18,8 @@ that regime.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,20 @@ def test_preset_output_matches_golden(name, tmp_path):
     assert csv.endswith("\n")
     _check_csv(csv.splitlines(), GOLDEN[name]["csv"],
                "metric = condition_number" in GOLDEN[name]["manifest"])
+
+
+def test_preset_bytes_writes_csv_manifest_and_preset_text(tmp_path):
+    script = FIXTURES / "preset_bytes.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "out"), "fig5a"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["fig5a.csv", "fig5a.csv.manifest", "fig5a.preset"]
+    want = tmp_path / "want.csv"
+    emit_csv(run_experiment(make_preset_golden.trimmed("fig5a", 3, (3, 3, 3, 3))), want)
+    assert (out / "fig5a.csv").read_bytes() == want.read_bytes()
+    assert (out / "fig5a.csv.manifest").read_bytes() == Path(f"{want}.manifest").read_bytes()
+    cli = subprocess.run([sys.executable, "-m", "chansim.cli", "preset", "fig5a"],
+                         capture_output=True)
+    assert (out / "fig5a.preset").read_bytes() == cli.stdout
