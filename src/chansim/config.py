@@ -148,8 +148,7 @@ class ExperimentConfig:
                 key = self.__dataclass_fields__[name].metadata["key"]
                 raise ConfigError(f"{key} must be > 0 for model '{self.model}', "
                                   f"got {getattr(self, name)}")
-        # the same tolerance as xlmimo.vr_mask_chain
-        if not np.isclose(self.p0 + self.p1, 1.0):
+        if not xlmimo.sums_to_one(self.p0, self.p1):
             raise ConfigError(f"xl.p0 + xl.p1 must equal 1, got {self.p0 + self.p1}")
         if len(self.curves) > 3:
             raise ConfigError("at most 3 curve parameters are supported")

@@ -2,14 +2,16 @@
 
 Spatial correlation matrices for one-ring (uniform) and Gaussian local
 scattering, over uniform linear (2-D) and uniform planar (3-D) arrays.
-Angular integrals are evaluated with Gauss-Legendre quadrature.  Every
-matrix is the weighted sum A diag(w) A^H of steering vectors with positive
-weights, so the output is Hermitian PSD by construction.  The quadrature
-ULA builders form that product directly; the UPA builder and the
-closed-form Gaussian ULA kernel take their sum once per index lag and
-gather the M x M matrix from the lag table.  The UPA builder raises one
-unit-lag phase per angle node to each horizontal lag by repeated
-products: N^2 exponentials plus M_H * N^2 complex products per build.
+Each GBSM is an angle measure plus an assembly.  The measure is a set of
+angles with positive weights summing to 1, from :func:`onering_nodes` or
+:func:`gaussian_nodes` on :func:`sized_quadrature` Gauss-Legendre nodes;
+a planar array takes the outer product of two.  The assembly A diag(w) A^H
+of steering vectors is Hermitian PSD by construction.  The quadrature ULA
+builders form that product directly; the UPA builder and the closed-form
+Gaussian ULA kernel take their sum once per index lag and gather the M x M
+matrix from the lag table.  The UPA builder raises one unit-lag phase per
+angle node to each horizontal lag by repeated products: N^2 exponentials
+plus M_H * N^2 complex products per build.
 
 Each builder takes exactly the angles and gain its model reads, as keyword
 arguments.  All angles are radians.  Degree-valued user input is converted
@@ -27,6 +29,7 @@ import numpy as np
 from .errors import InvalidParam, QuadratureWarning, ValidityWarning
 
 DEFAULT_NODES = 201
+MAX_QUAD_NODES = 4001   # the cap of sized_quadrature
 # Elevation columns per block of the planar lag-table sum.
 _EL_BLOCK = 32
 # Gaussian scattering integrals are truncated at +/- this many sigmas.
@@ -72,11 +75,7 @@ class UpaGeometry:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss-Legendre node count per dimension.
-
-    Gaussian models integrate over +/- ``GAUSSIAN_TRUNCATION`` (6) sigmas
-    per dimension; the node count is sized for that window.
-    """
+    """Gauss-Legendre node count per dimension (:func:`sized_quadrature` sizes it to a window)."""
 
     nodes_per_dim: int = DEFAULT_NODES
 
@@ -101,16 +100,49 @@ def _check_nonnegative(beta: float, **spreads: float):
         raise InvalidParam(f"beta must be >= 0, got {beta}")
 
 
-def _warn_if_coarse(nodes: int, spread: float, d_h: float, m: int):
-    # Heuristic: the integrand oscillates ~ spread * d_H * M times over the
+def _nodes_needed(spread: float, d: float, m: int) -> float:
+    # Heuristic: the integrand oscillates ~ spread * d * M times over the
     # window; fewer than 4 nodes per characteristic scale is suspect.
-    if nodes < 4 * spread * d_h * m:
+    return 4.0 * spread * d * m
+
+
+def sized_quadrature(spread: float, d: float, m: int) -> QuadratureConfig:
+    """Nodes for a window of half-width ``spread`` on ``m`` antennas ``d`` apart, capped."""
+    needed = int(np.ceil(_nodes_needed(spread, d, m))) + 1
+    return QuadratureConfig(nodes_per_dim=min(max(DEFAULT_NODES, needed), MAX_QUAD_NODES))
+
+
+def _warn_if_coarse(nodes: int, spread: float, d_h: float, m: int):
+    if nodes < _nodes_needed(spread, d_h, m):
         warnings.warn(
             f"{nodes} quadrature nodes may be too few for spread={spread:.3g} rad, "
             f"d_H={d_h}, M={m}",
             QuadratureWarning,
             stacklevel=3,
         )
+
+
+def onering_nodes(phi: float, delta: float, quad: QuadratureConfig):
+    """(angles, weights) uniform on [phi - delta, phi + delta]; delta = 0 is the one node phi."""
+    if delta == 0:
+        return np.array([phi]), np.array([1.0])
+    x, w = _leggauss(quad.nodes_per_dim)
+    # (1 / 2 Delta) * integral over [-Delta, Delta]: the Delta scale cancels.
+    return phi + delta * x, w / 2.0
+
+
+def gaussian_nodes(phi: float, sigma: float, quad: QuadratureConfig):
+    """(angles, weights) of phi + N(0, sigma^2); sigma = 0 is the one node phi.
+
+    The ULA and UPA models share this kernel exp(-delta^2 / 2 sigma^2), cut at
+    +/- GAUSSIAN_TRUNCATION * sigma and renormalized, so a diagonal equals beta.
+    """
+    if sigma == 0:
+        return np.array([phi]), np.array([1.0])
+    x, w = _leggauss(quad.nodes_per_dim)
+    delta = GAUSSIAN_TRUNCATION * sigma * x
+    weights = w * np.exp(-delta**2 / (2.0 * sigma**2))
+    return phi + delta, weights / weights.sum()
 
 
 def _ula_from_angles(geom: UlaGeometry, angles: np.ndarray, weights: np.ndarray,
@@ -127,38 +159,16 @@ def onering_ula(geom: UlaGeometry, *, phi: float, delta_phi: float, beta: float 
                 quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """One-ring correlation for a ULA: arrival angles uniform in [phi-Delta, phi+Delta]."""
     _check_nonnegative(beta, delta_phi=delta_phi)
-    if delta_phi == 0:
-        # zero spread: single plane wave from phi, rank-1 correlation
-        return _ula_from_angles(geom, np.array([phi]), np.array([1.0]), beta)
     _warn_if_coarse(quad.nodes_per_dim, delta_phi, geom.d_h, geom.m)
-    x, w = _leggauss(quad.nodes_per_dim)
-    # (1 / 2 Delta) * integral over [-Delta, Delta]: the Delta scale cancels.
-    return _ula_from_angles(geom, phi + delta_phi * x, w / 2.0, beta)
-
-
-def _truncated_gaussian_nodes(sigma: float, quad: QuadratureConfig):
-    x, w = _leggauss(quad.nodes_per_dim)
-    half = GAUSSIAN_TRUNCATION * sigma
-    delta = half * x
-    pdf = np.exp(-delta**2 / (2.0 * sigma**2))
-    weights = w * pdf
-    return delta, weights / weights.sum()
+    return _ula_from_angles(geom, *onering_nodes(phi, delta_phi, quad), beta)
 
 
 def gaussian_ula_numeric(geom: UlaGeometry, *, phi: float, sigma_phi: float, beta: float = 1.0,
                          quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Gaussian local scattering for a ULA, by quadrature of the angular integral.
-
-    The infinite integral is truncated at +/- GAUSSIAN_TRUNCATION * sigma
-    and the weights renormalized, so the diagonal equals beta exactly.
-    """
+    """Gaussian local scattering for a ULA, by quadrature of :func:`gaussian_nodes`."""
     _check_nonnegative(beta, sigma_phi=sigma_phi)
-    if sigma_phi == 0:
-        return _ula_from_angles(geom, np.array([phi]), np.array([1.0]), beta)
-    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_phi,
-                    geom.d_h, geom.m)
-    delta, weights = _truncated_gaussian_nodes(sigma_phi, quad)
-    return _ula_from_angles(geom, phi + delta, weights, beta)
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_phi, geom.d_h, geom.m)
+    return _ula_from_angles(geom, *gaussian_nodes(phi, sigma_phi, quad), beta)
 
 
 def gaussian_ula_closed(geom: UlaGeometry, *, phi: float, sigma_phi: float,
@@ -305,30 +315,20 @@ def onering_upa(geom: UpaGeometry, *, phi: float, theta: float, delta_phi: float
         raise InvalidParam("UPA one-ring model needs delta_phi > 0 and delta_theta > 0")
     _warn_if_coarse(quad.nodes_per_dim, delta_phi, geom.d_h, geom.m_h)
     _warn_if_coarse(quad.nodes_per_dim, delta_theta, geom.d_v, geom.m_v)
-    x, w = _leggauss(quad.nodes_per_dim)
-    az = phi + delta_phi * x
-    el = theta + delta_theta * x
-    w_g = np.outer(w, w) / 4.0  # (1 / 4 Delta_phi Delta_theta) absorbs both scales
-    return _upa_from_angles(geom, az, el, w_g, beta)
+    az, w_az = onering_nodes(phi, delta_phi, quad)
+    el, w_el = onering_nodes(theta, delta_theta, quad)
+    return _upa_from_angles(geom, az, el, np.outer(w_az, w_el), beta)
 
 
 def gaussian_upa(geom: UpaGeometry, *, phi: float, theta: float, sigma_phi: float,
                  sigma_theta: float, beta: float = 1.0,
                  quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
-    """3-D Gaussian local scattering for a UPA.
-
-    Uses the standard Gaussian kernel exp(-delta^2 / 2 sigma^2) on each axis
-    (the decaying-exponent convention, matching the 2-D Gaussian model),
-    truncated at +/- GAUSSIAN_TRUNCATION * sigma per axis and renormalized.
-    """
+    """3-D Gaussian local scattering for a UPA: :func:`gaussian_nodes` on each axis."""
     _check_nonnegative(beta, sigma_phi=sigma_phi, sigma_theta=sigma_theta)
     if sigma_phi <= 0 or sigma_theta <= 0:
         raise InvalidParam("UPA Gaussian model needs sigma_phi > 0 and sigma_theta > 0")
-    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_phi,
-                    geom.d_h, geom.m_h)
-    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_theta,
-                    geom.d_v, geom.m_v)
-    d_az, w_az = _truncated_gaussian_nodes(sigma_phi, quad)
-    d_el, w_el = _truncated_gaussian_nodes(sigma_theta, quad)
-    return _upa_from_angles(geom, phi + d_az, theta + d_el,
-                            np.outer(w_az, w_el), beta)
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_phi, geom.d_h, geom.m_h)
+    _warn_if_coarse(quad.nodes_per_dim, GAUSSIAN_TRUNCATION * sigma_theta, geom.d_v, geom.m_v)
+    az, w_az = gaussian_nodes(phi, sigma_phi, quad)
+    el, w_el = gaussian_nodes(theta, sigma_theta, quad)
+    return _upa_from_angles(geom, az, el, np.outer(w_az, w_el), beta)

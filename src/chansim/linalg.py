@@ -80,8 +80,7 @@ def _check_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate conjugate symmetry of ``a`` and return it as a complex array."""
+def _hermitian_and_scale(a: np.ndarray) -> tuple[np.ndarray, float]:
     a = _check_finite(a)
     if a.shape[0] != a.shape[1]:
         raise InvalidMatrix("Hermitian matrix must be square")
@@ -91,7 +90,12 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
         if resid > HERMITIAN_RTOL * scale:
             raise InvalidMatrix(f"Hermitian residual {resid:.3e} exceeds {HERMITIAN_RTOL:.0e}"
                                 f" * max|A| = {HERMITIAN_RTOL * scale:.3e}")
-    return np.asarray(a, dtype=complex)
+    return np.asarray(a, dtype=complex), scale
+
+
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate conjugate symmetry of ``a`` and return it as a complex array."""
+    return _hermitian_and_scale(a)[0]
 
 
 def _factor_form(a: np.ndarray) -> np.ndarray:
@@ -100,8 +104,8 @@ def _factor_form(a: np.ndarray) -> np.ndarray:
     J is the exchange matrix.  When max|J a J - conj(a)| <= HERMITIAN_RTOL * max|a|, a is
     unitarily similar to the real symmetric S up to that residual (A. Lee, LAA 29, 1980).
     """
-    a = check_hermitian(a)
-    if np.abs(a[::-1, ::-1] - a.conj()).max() > HERMITIAN_RTOL * np.abs(a).max():
+    a, scale = _hermitian_and_scale(a)
+    if np.abs(a[::-1, ::-1] - a.conj()).max() > HERMITIAN_RTOL * scale:
         return a
     return (a.real + a.real[::-1, ::-1] + a.imag[::-1, :] - a.imag[:, ::-1]) / 2.0
 

@@ -18,8 +18,6 @@ from .errors import ConfigError
 from .linalg import (complex_gaussian, condition_number, psd_eigvals, psd_sqrt,
                      sample_correlated)
 
-MAX_QUAD_NODES = 4001
-
 CORRELATION = "correlation"   # one M x M correlation matrix per trial
 XL = "xl"                     # a multi-user XL-MIMO scenario per trial
 
@@ -38,13 +36,6 @@ class Metric(NamedTuple):
     family: str
     trial: Callable
     scenario: bool = False
-
-
-def _quadrature(spread: float, d_h: float, m_axis: int) -> gbsm.QuadratureConfig:
-    """Node count sized to the integrand's oscillation scale, capped."""
-    needed = int(np.ceil(4.0 * spread * d_h * m_axis)) + 1
-    nodes = min(max(gbsm.DEFAULT_NODES, needed), MAX_QUAD_NODES)
-    return gbsm.QuadratureConfig(nodes_per_dim=nodes)
 
 
 def _upa_geometry(cfg) -> gbsm.UpaGeometry:
@@ -79,13 +70,13 @@ def _onering_ula(cfg, rng):
     geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
     delta_phi = np.radians(cfg.delta_deg)
     return gbsm.onering_ula(geom, phi=np.radians(cfg.phi_deg), delta_phi=delta_phi,
-                            beta=cfg.beta, quad=_quadrature(delta_phi, cfg.d_h, cfg.m))
+                            beta=cfg.beta, quad=gbsm.sized_quadrature(delta_phi, cfg.d_h, cfg.m))
 
 
 def _gaussian_ula(cfg, rng):
     geom = gbsm.UlaGeometry(m=cfg.m, d_h=cfg.d_h)
     sigma_phi = np.radians(cfg.sigma_phi_deg)
-    quad = _quadrature(gbsm.GAUSSIAN_TRUNCATION * sigma_phi, cfg.d_h, cfg.m)
+    quad = gbsm.sized_quadrature(gbsm.GAUSSIAN_TRUNCATION * sigma_phi, cfg.d_h, cfg.m)
     return gbsm.gaussian_ula_numeric(geom, phi=np.radians(cfg.phi_deg), sigma_phi=sigma_phi,
                                      beta=cfg.beta, quad=quad)
 
@@ -112,7 +103,7 @@ def _onering_upa(cfg, rng):
     delta_phi = np.radians(cfg.delta_deg)
     delta_theta = np.radians(cfg.delta_theta_deg)
     spread = max(delta_phi, delta_theta)
-    quad = _quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
+    quad = gbsm.sized_quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
     return gbsm.onering_upa(geom, phi=np.radians(cfg.phi_deg),
                             theta=np.radians(cfg.theta_el_deg), delta_phi=delta_phi,
                             delta_theta=delta_theta, beta=cfg.beta, quad=quad)
@@ -123,7 +114,7 @@ def _gaussian_upa(cfg, rng):
     sigma_phi = np.radians(cfg.sigma_phi_deg)
     sigma_theta = np.radians(cfg.sigma_theta_deg)
     spread = gbsm.GAUSSIAN_TRUNCATION * max(sigma_phi, sigma_theta)
-    quad = _quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
+    quad = gbsm.sized_quadrature(spread, max(cfg.d_h, cfg.d_v), max(geom.m_h, geom.m_v))
     return gbsm.gaussian_upa(geom, phi=np.radians(cfg.phi_deg),
                              theta=np.radians(cfg.theta_el_deg), sigma_phi=sigma_phi,
                              sigma_theta=sigma_theta, beta=cfg.beta, quad=quad)

@@ -77,6 +77,11 @@ class Cluster:
         return self.vr_lo + len(self.vr_mask) // 2
 
 
+def sums_to_one(p0: float, p1: float) -> bool:
+    """p0 + p1 == 1 as np.isclose decides it by default: |s - 1| <= 1e-8 + 1e-5, NaN false."""
+    return abs(p0 + p1 - 1.0) <= 1e-8 + 1e-5
+
+
 def vr_mask_chain(m_vr: int, p0: float, p1: float, c: float,
                   rng: np.random.Generator) -> np.ndarray:
     """Binary visibility mask from the two-state obstruction chain.
@@ -93,7 +98,7 @@ def vr_mask_chain(m_vr: int, p0: float, p1: float, c: float,
     keeps a mask all visible, so P(all m_vr visible) = P(first visible) *
     p1^(m_vr - 1) = p1^(m_vr - 1) / 2.
     """
-    if not np.isclose(p0 + p1, 1.0):
+    if not sums_to_one(p0, p1):
         raise InvalidParam(f"p0 + p1 must equal 1, got {p0 + p1}")
     if not 0.0 <= c <= 1.0:
         raise InvalidParam(f"c must be in [0, 1], got {c}")

@@ -127,6 +127,7 @@ def _trapz_upa(kind, geom, phi, theta, w_az, w_el, n=1001):
     return r
 
 
+@pytest.mark.slow
 def test_criterion_04_quadrature_vs_trapezoid():
     worst = 0.0
     geom = UlaGeometry(m=4)
@@ -252,8 +253,7 @@ def _random_correlation(kind, rng):
             width = float(np.radians(rng.uniform(1, 15)))
             spread = 6 * width
         beta = float(rng.uniform(0.25, 4.0))
-        nodes = min(4001, max(201, int(np.ceil(4 * spread * geom.d_h * geom.m)) + 1))
-        quad = QuadratureConfig(nodes_per_dim=nodes)
+        quad = gbsm.sized_quadrature(spread, geom.d_h, geom.m)
         if kind == "onering_ula":
             return gbsm.onering_ula(geom, phi=phi, delta_phi=width, beta=beta, quad=quad)
         if kind == "gaussian_ula":

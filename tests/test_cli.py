@@ -139,6 +139,8 @@ sweep.grid = 16
     (XL + "xl.p0 = 2\n", "xl.p0", ()),
     (XL.replace("sinr", "vr_stats") + "xl.p0 = 1.2\nxl.p1 = -0.2\n", "xl.p0", ()),
     (XL + "xl.p0 = 0.5\n", "xl.p0 + xl.p1", ()),
+    (XL + "xl.p1 = 0.950012\n", "xl.p0 + xl.p1", ()),
+    (XL + "xl.p1 = 0.949988\n", "xl.p0 + xl.p1", ()),
     (XL + "xl.c = -1\n", "xl.c", ()),
     (XL + "xl.d2 = 0\n", "xl.d2", ()),
     (CONFIG + "snr_db = nan\n", "'snr_db'", ()),
@@ -182,7 +184,8 @@ sweep.grid = 16
 ], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad", "seed", "seed_option",
         "users", "num_users_grid", "total_power", "m", "m_grid_zero", "d_h", "d_v",
         "clusters_per_user", "vr_antennas", "r_min", "r_max", "p0", "p0_p1_outside",
-        "p0_p1_sum", "c", "d2", "snr_nan", "total_power_inf", "range_nan", "range_inf",
+        "p0_p1_sum", "p0_p1_sum_above_tolerance", "p0_p1_sum_below_tolerance",
+        "c", "d2", "snr_nan", "total_power_inf", "range_nan", "range_inf",
         "list_inf", "rho", "beta", "delta", "sigma_phi", "delta_theta", "sigma_theta",
         "m_h", "upa_delta_zero", "upa_delta_theta_zero", "upa_sigma_phi_zero",
         "upa_sigma_theta_zero", "upa_delta_grid_zero", "upa_delta_theta_grid_zero",
@@ -194,6 +197,16 @@ def test_invalid_value_exit_2(tmp_path, text, named, args):
     proc = run_cli("run", "--config", str(cfg), *args)
     assert proc.returncode == 2
     assert named in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("p1", ["0.950008", "0.949992"], ids=["above", "below"])
+def test_p0_p1_sum_within_tolerance_runs(tmp_path, p1):
+    # np.isclose's default decision: |p0 + p1 - 1| <= 1e-8 + 1e-5 passes;
+    # the rows 1.2e-5 off in test_invalid_value_exit_2 fail.
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(XL + f"xl.p1 = {p1}\n")
+    proc = run_cli("run", "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bad_m_grid_fails_before_any_trial(monkeypatch, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -262,8 +264,8 @@ def test_upa_lag_table_matches_dense_assembly(m_h, m_v, d_h, d_v, phi, theta,
     geom = UpaGeometry(m_h=m_h, m_v=m_v, d_h=d_h, d_v=d_v)
     quad = QuadratureConfig(nodes_per_dim=nodes)
     x, w = np.polynomial.legendre.leggauss(nodes)
-    d_az, w_az = gbsm._truncated_gaussian_nodes(spread_az / 2, quad)
-    d_el, w_el = gbsm._truncated_gaussian_nodes(spread_el / 2, quad)
+    d_az, w_az = gbsm.gaussian_nodes(0.0, spread_az / 2, quad)
+    d_el, w_el = gbsm.gaussian_nodes(0.0, spread_el / 2, quad)
     cases = [
         (onering_upa(geom, phi=phi, theta=theta, delta_phi=spread_az,
                      delta_theta=spread_el, beta=beta, quad=quad),
@@ -312,8 +314,8 @@ def test_upa_long_lag_chain_matches_extended_precision(d_h):
     quad = QuadratureConfig(nodes_per_dim=21)
     phi, theta = 0.4, 0.2
     x, w = np.polynomial.legendre.leggauss(21)
-    d_az, w_az = gbsm._truncated_gaussian_nodes(np.radians(10), quad)
-    d_el, w_el = gbsm._truncated_gaussian_nodes(np.radians(5), quad)
+    d_az, w_az = gbsm.gaussian_nodes(0.0, np.radians(10), quad)
+    d_el, w_el = gbsm.gaussian_nodes(0.0, np.radians(5), quad)
     cases = [
         (onering_upa(geom, phi=phi, theta=theta, delta_phi=np.radians(30),
                      delta_theta=np.radians(10), quad=quad),
@@ -395,3 +397,111 @@ def test_builders_reject_parameters_of_other_models(build, foreign):
     build()   # the model's own parameters build
     with pytest.raises(TypeError, match=foreign):
         build(**{foreign: 0.2})
+
+
+QUADS = [QuadratureConfig(nodes_per_dim=n) for n in (3, 21, 201, 1001)]
+
+
+@pytest.mark.parametrize("quad", QUADS, ids=lambda q: str(q.nodes_per_dim))
+@pytest.mark.parametrize("spread", [1e-3, 0.05, np.radians(15), 1.0])
+def test_node_weights_sum_to_one(quad, spread):
+    for angles, weights in (gbsm.onering_nodes(0.3, spread, quad),
+                            gbsm.gaussian_nodes(0.3, spread, quad)):
+        assert angles.shape == weights.shape == (quad.nodes_per_dim,)
+        assert np.all(weights > 0)
+        assert abs(weights.sum() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("nodes", [gbsm.onering_nodes, gbsm.gaussian_nodes])
+def test_zero_spread_is_the_point_mass(nodes):
+    angles, weights = nodes(0.7, 0.0, QUADS[2])
+    assert np.array_equal(angles, [0.7]) and np.array_equal(weights, [1.0])
+
+
+def test_node_functions_keep_the_inline_arithmetic():
+    # The node sets as the builders wrote them inline before the measures
+    # were factored out; any change here moves output bytes.
+    for quad in QUADS:
+        x, w = np.polynomial.legendre.leggauss(quad.nodes_per_dim)
+        phi, delta, sigma = 0.4, np.radians(20), np.radians(10)
+        angles, weights = gbsm.onering_nodes(phi, delta, quad)
+        assert np.array_equal(angles, phi + delta * x) and np.array_equal(weights, w / 2.0)
+        assert np.array_equal(np.outer(weights, weights), np.outer(w, w) / 4.0)
+        half = gbsm.GAUSSIAN_TRUNCATION * sigma
+        pdf = np.exp(-(half * x)**2 / (2.0 * sigma**2))
+        angles, weights = gbsm.gaussian_nodes(phi, sigma, quad)
+        assert np.array_equal(angles, phi + half * x)
+        assert np.array_equal(weights, w * pdf / (w * pdf).sum())
+
+
+@pytest.mark.parametrize("quad", QUADS[:3], ids=lambda q: str(q.nodes_per_dim))
+@pytest.mark.parametrize("spread", [0.0, 0.05, 0.6])
+@pytest.mark.filterwarnings("ignore::chansim.errors.QuadratureWarning")
+def test_ula_builders_are_measure_plus_assembly(quad, spread):
+    geom, phi, beta = UlaGeometry(m=12, d_h=0.7), 0.4, 1.7
+    assert np.array_equal(
+        onering_ula(geom, phi=phi, delta_phi=spread, beta=beta, quad=quad),
+        gbsm._ula_from_angles(geom, *gbsm.onering_nodes(phi, spread, quad), beta))
+    assert np.array_equal(
+        gaussian_ula_numeric(geom, phi=phi, sigma_phi=spread, beta=beta, quad=quad),
+        gbsm._ula_from_angles(geom, *gbsm.gaussian_nodes(phi, spread, quad), beta))
+
+
+@pytest.mark.parametrize("quad", QUADS[:3], ids=lambda q: str(q.nodes_per_dim))
+@pytest.mark.filterwarnings("ignore::chansim.errors.QuadratureWarning")
+def test_upa_builders_are_outer_product_of_measures(quad):
+    geom, phi, theta, beta = UpaGeometry(m_h=4, m_v=3, d_h=0.5, d_v=0.8), 0.4, 0.2, 1.7
+    s_az, s_el = np.radians(25), np.radians(8)
+    for build, nodes, spreads in (
+            (onering_upa, gbsm.onering_nodes, dict(delta_phi=s_az, delta_theta=s_el)),
+            (gaussian_upa, gbsm.gaussian_nodes, dict(sigma_phi=s_az, sigma_theta=s_el))):
+        az, w_az = nodes(phi, s_az, quad)
+        el, w_el = nodes(theta, s_el, quad)
+        assert np.array_equal(
+            build(geom, phi=phi, theta=theta, beta=beta, quad=quad, **spreads),
+            gbsm._upa_from_angles(geom, az, el, np.outer(w_az, w_el), beta))
+
+
+def test_sized_quadrature_floor_growth_and_cap():
+    def nodes(spread, d, m):
+        return gbsm.sized_quadrature(spread, d, m).nodes_per_dim
+
+    assert nodes(0.0, 0.5, 100) == nodes(0.1, 0.5, 100) == gbsm.DEFAULT_NODES == 201
+    assert nodes(0.5, 1.0, 100) == 201          # 4 * 0.5 * 1 * 100 = 200 nodes needed
+    assert nodes(0.5, 5.0, 100) == 1001
+    assert nodes(0.50001, 5.0, 100) == 1002
+    assert nodes(1.0, 10.0, 100) == 4001
+    assert nodes(1.0, 10.0, 101) == nodes(3.0, 10.0, 400) == gbsm.MAX_QUAD_NODES == 4001
+    # 4 * 0.25 * d_H * 100 = 100 d_H needed, exact in binary: steps of 50 nodes
+    grown = [nodes(0.25, d, 100) for d in np.arange(1.0, 45.0, 0.5)]
+    assert grown[:3] == [201, 201, 201] and grown[3:6] == [251, 301, 351]
+    assert grown[-10:] == [4001] * 10 and set(np.diff(grown)) == {0, 50}
+
+
+D_H_GRID = np.arange(0.0, 10.01, 0.5)   # the d_H sweep of fig10d and fig12d
+
+
+@pytest.mark.parametrize("build, spread_deg, window", [
+    (onering_ula, 10.0, 1.0), (onering_ula, 30.0, 1.0),
+    (gaussian_ula_numeric, 5.0, gbsm.GAUSSIAN_TRUNCATION),
+    (gaussian_ula_numeric, 15.0, gbsm.GAUSSIAN_TRUNCATION),
+], ids=["fig10d-10", "fig10d-30", "fig12d-5", "fig12d-15"])
+def test_sized_builders_warn_exactly_when_the_cap_binds(monkeypatch, build, spread_deg,
+                                                         window):
+    # The warning depends only on the node count, so three nodes stand in
+    # for the sized set and the 4001-node eigensolve is not paid.
+    monkeypatch.setattr(gbsm, "_leggauss", lambda n: np.polynomial.legendre.leggauss(3))
+    spread = np.radians(spread_deg)
+    key = "delta_phi" if build is onering_ula else "sigma_phi"
+    capped = []
+    for d_h in D_H_GRID:
+        quad = gbsm.sized_quadrature(window * spread, d_h, 100)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build(UlaGeometry(m=100, d_h=d_h), phi=0.0, quad=quad, **{key: spread})
+        warned = any(issubclass(w.category, QuadratureWarning) for w in caught)
+        assert warned == (quad.nodes_per_dim == gbsm.MAX_QUAD_NODES)
+        capped.append(warned)
+    # fig12d at sigma = 15 deg needs 628 d_H nodes: capped from d_H = 6.5 on
+    expected = list(D_H_GRID >= 6.5) if spread_deg == 15.0 else [False] * D_H_GRID.size
+    assert capped == expected

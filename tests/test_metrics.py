@@ -75,14 +75,15 @@ def test_capacity_ub_rejects_non_matrix(capacity, r):
 
 
 def test_capacity_ub_checks_hermitian_once(monkeypatch):
+    # check_hermitian and the factoring routines share this one check.
     calls = []
-    check = linalg.check_hermitian
+    check = linalg._hermitian_and_scale
 
     def counting(*args, **kwargs):
         calls.append(1)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "check_hermitian", counting)
+    monkeypatch.setattr(linalg, "_hermitian_and_scale", counting)
     capacity_ub(np.eye(4), 10.0)
     assert calls == [1]
 

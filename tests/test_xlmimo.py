@@ -14,7 +14,8 @@ from chansim.xlmimo import (L0_DB, NORMALIZATION, Cluster, antenna_positions,
                             assemble_channel_matrix, build_scenario,
                             cluster_channel, cluster_correlation_matrix,
                             pathloss_per_antenna, place_clusters, position_vr,
-                            rayleigh_distance, user_channel, vr_mask_chain)
+                            rayleigh_distance, sums_to_one, user_channel,
+                            vr_mask_chain)
 
 
 def xl_geometry(m=100):
@@ -71,10 +72,24 @@ def test_vr_mask_chain_validation():
     rng = np.random.default_rng(3)
     with pytest.raises(InvalidParam):
         vr_mask_chain(10, 0.3, 0.3, 0.05, rng)
+    for p1 in (0.95 + 1.2e-5, 0.95 - 1.2e-5, np.nan):
+        with pytest.raises(InvalidParam, match="p0 \\+ p1 must equal 1"):
+            vr_mask_chain(10, 0.05, p1, 0.05, rng)
+    for p1 in (0.95 + 0.8e-5, 0.95 - 0.8e-5):
+        assert vr_mask_chain(10, 0.05, p1, 0.05, rng).shape == (10,)
     with pytest.raises(InvalidParam):
         vr_mask_chain(10, 0.05, 0.95, 1.5, rng)
     with pytest.raises(InvalidParam):
         vr_mask_chain(0, 0.05, 0.95, 0.05, rng)
+
+
+def test_sums_to_one_takes_the_isclose_decision():
+    tol = 1e-8 + 1e-5
+    values = [1.0, 1.0 + tol, 1.0 - tol, np.nextafter(1.0 + tol, 2.0),
+              np.nextafter(1.0 - tol, 0.0), 1.0 + 1.2e-5, 1.0 - 0.8e-5, 0.6, np.nan, np.inf]
+    for s in values:
+        for p0 in (0.0, 0.05, 0.5):
+            assert sums_to_one(p0, s - p0) == np.isclose(p0 + (s - p0), 1.0)
 
 
 def test_vr_mask_binary():
@@ -199,6 +214,7 @@ def test_cluster_channel_zero_beta():
     assert np.all(cluster_channel(np.zeros(8), None, rng) == 0)
 
 
+@pytest.mark.slow
 def test_cluster_channel_variance():
     rng = np.random.default_rng(8)
     b = 2.5
@@ -208,6 +224,7 @@ def test_cluster_channel_variance():
     assert np.all(np.abs(var - b**2) < 0.05 * b**2)
 
 
+@pytest.mark.slow
 def test_cluster_channel_covariance_oracle():
     rng = np.random.default_rng(9)
     from chansim.cbsm import exponential_correlation
@@ -366,7 +383,9 @@ def moment_z_scores(kind, seed):
     return z
 
 
-@pytest.mark.parametrize("kind", sorted(ORACLE_SEEDS))
+@pytest.mark.parametrize("kind", [
+    pytest.param(kind, marks=pytest.mark.slow) if kind in ("exponential", "onering") else kind
+    for kind in sorted(ORACLE_SEEDS)])
 def test_channel_moments_match_covariance(kind):
     z = moment_z_scores(kind, ORACLE_SEEDS[kind])
     assert all(abs(v) < ORACLE_Z for v in z.values()), z
