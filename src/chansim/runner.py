@@ -5,14 +5,16 @@ grids.  Each point executes ``trials`` independent realizations whose
 random streams derive only from (seed, point index, trial index), and
 each point runs with numpy's BLAS on one thread, so the output is
 byte-identical regardless of worker count, scheduling or BLAS threading.
+The first point also keeps the process's freed heap mapped (:func:`_retain_heap`).
 What one trial computes is looked up in :mod:`chansim.registry`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +43,33 @@ def trial_value(cfg: ExperimentConfig, rng: np.random.Generator,
     return METRICS[cfg.metric].trial(cfg, rng, scenario)
 
 
+# glibc mallopt pairs: M_MMAP_THRESHOLD at 32 MiB, glibc's 64-bit cap on its dynamic value, and
+# M_TRIM_THRESHOLD at twice that, glibc's own rule.  Either one set alone stops glibc's
+# dynamic adjustment and faults more, not less.
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+@lru_cache(maxsize=1)
+def _mallopt():
+    """The C library's ``mallopt(param, value)``, or None where it has none."""
+    try:
+        return getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return None
+
+
+@lru_cache(maxsize=1)
+def _retain_heap():
+    """Keep freed trial arrays mapped; for good, as glibc cannot restore its thresholds."""
+    mallopt = _mallopt()
+    if mallopt is not None:
+        for param, value in _HEAP_POLICY:
+            mallopt(param, value)
+
+
 def _run_point(args):
     cfg, index, assignment = args
+    _retain_heap()
     vals = np.empty(cfg.trials)
     try:
         with linalg.one_blas_thread():
@@ -72,6 +99,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         except ConfigError as e:
             raise ConfigError(f"sweep point {a}: {e}") from e
     if cfg.workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~15 ms, so only when used
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             stats = dict(pool.map(_run_point, tasks))
     else:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import platform
 import subprocess
 import sys
 
@@ -83,6 +84,80 @@ def test_csv_independent_of_blas_threads_and_workers(tmp_path):
                             "--out", str(out)], env=env, check=True, timeout=120)
             csvs[threads, workers] = out.read_bytes()
     assert [k for k in csvs if csvs[k] != csvs[None, 1]] == []
+
+
+# glibc's malloc.h: M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1.
+HEAP_POLICY = [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_retain_heap_sets_both_thresholds_once_per_process(monkeypatch):
+    calls = []
+    monkeypatch.setattr(runner, "_mallopt",
+                        lambda: lambda param, value: calls.append((param, value)))
+    runner._retain_heap.cache_clear()
+    try:
+        run_experiment(parse_config(SMALL.replace("0,0.5,1", "0,0.5")))
+    finally:
+        runner._retain_heap.cache_clear()
+    assert calls == HEAP_POLICY
+
+
+def test_sweep_without_mallopt_gives_same_rows(monkeypatch):
+    cfg = dataclasses.replace(parse_config(SMALL), model="uncorrelated", sigma_shad=3.0,
+                              trials=3)
+    expected = run_experiment(cfg).rows
+    monkeypatch.setattr(runner, "_mallopt", lambda: None)
+    runner._retain_heap.cache_clear()
+    try:
+        assert run_experiment(cfg).rows == expected
+    finally:
+        runner._retain_heap.cache_clear()
+
+
+def test_mallopt_found_on_glibc():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the heap policy applies only to glibc")
+    assert runner._mallopt() is not None
+
+
+# Freed arrays above the default 128 KiB mmap threshold: M x M complex at M = 200,
+# and XL one-ring per-cluster matrices at M = 100.
+HEAP_CONFIGS = {
+    "xl_onering": """
+model = xl
+metric = sinr
+trials = 2
+xl.correlation = onering
+sweep.param = num_users
+sweep.grid = 1,5
+""",
+    "shadowed": """
+model = gaussian_ula_shadowed
+metric = capacity_ub
+trials = 3
+geometry.m = 200
+model.sigma_shad = 4
+sweep.param = m
+sweep.grid = 100,200
+""",
+}
+# Runs ``chansim run``; with "off" first, the heap policy finds no mallopt.
+RUN_WITH_HEAP = ("import sys; from chansim import cli, runner\n"
+                 "if sys.argv[1] == 'off': runner._mallopt = lambda: None\n"
+                 "sys.exit(cli.main(sys.argv[2:]))")
+
+
+@pytest.mark.parametrize("name", sorted(HEAP_CONFIGS))
+def test_csv_independent_of_heap_policy(tmp_path, name):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(HEAP_CONFIGS[name])
+    csvs = []
+    for heap in ("on", "off"):
+        out = tmp_path / f"{heap}.csv"
+        subprocess.run([sys.executable, "-c", RUN_WITH_HEAP, heap, "run", "--config", str(cfg),
+                        "--out", str(out)], check=True, timeout=120)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_csv_layout(tmp_path):
