@@ -25,8 +25,9 @@ def exponential_correlation(m: int, rho: float) -> np.ndarray:
         raise InvalidParam(f"antenna count must be >= 1, got {m}")
     if not 0.0 <= rho <= 1.0:
         raise InvalidParam(f"correlation factor must be in [0, 1], got {rho}")
-    k = np.arange(m)
-    return np.asarray((rho ** k)[np.abs(k[:, None] - k[None, :])], dtype=float)
+    # Entry (m, n) of the sliding windows over the lags -(M-1)..M-1, rows reversed, is lag n - m.
+    lag_row = rho ** np.abs(np.arange(1 - m, m))
+    return np.array(np.lib.stride_tricks.sliding_window_view(lag_row, m)[::-1], dtype=float)
 
 
 def draw_shadowing(m: int, sigma_shad: float, rng: np.random.Generator) -> np.ndarray:
@@ -65,9 +66,8 @@ def exponential_with_shadowing(f: np.ndarray, rho: float, theta: float,
     f = np.asarray(f, dtype=float)
     if f.ndim != 1:
         raise InvalidParam(f"shadow draw must be 1-D, got shape {f.shape}")
-    k = np.arange(f.size)
-    diff = k[None, :] - k[:, None]  # n - m
-    phase = np.exp(1j * np.arange(1 - f.size, f.size) * theta)  # once per lag, then gathered
-    base = exponential_correlation(f.size, rho) * phase[diff + f.size - 1]
+    phase = np.exp(1j * np.arange(1 - f.size, f.size) * theta)  # once per lag n - m
+    base = exponential_correlation(f.size, rho) * np.lib.stride_tricks.sliding_window_view(
+        phase, f.size)[::-1]
     shad = 10.0 ** ((f[:, None] + f[None, :]) / 20.0)
     return beta * base * shad

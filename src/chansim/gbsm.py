@@ -216,8 +216,7 @@ def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.n
     if phis.size < 1:
         raise InvalidParam("need at least one scatterer angle")
     # The kernel depends only on the lag m - n: take it once per lag
-    # -(M-1)..M-1 and gather the M x M matrix from that row.
-    k = np.arange(f.size)
+    # -(M-1)..M-1 and read the M x M matrix as a Toeplitz view of that row.
     diff = np.arange(-(f.size - 1), f.size)
     acc = np.zeros(diff.size, dtype=complex)
     for phi_s in phis:
@@ -225,7 +224,7 @@ def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.n
         damp = np.exp(-(sigma_phi**2 / 2.0)
                       * (2.0 * np.pi * geom.d_h * diff * np.cos(phi_s)) ** 2)
         acc += phase * damp
-    acc = acc[k[:, None] - k[None, :] + f.size - 1]
+    acc = np.lib.stride_tricks.sliding_window_view(acc[::-1], f.size)[::-1]
     # Without shadowing every entry of the M x M power is exactly 1; skip it.
     shad = 10.0 ** ((f[:, None] + f[None, :]) / 10.0) if np.any(f) else 1.0
     return beta * shad * acc / phis.size

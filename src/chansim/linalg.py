@@ -3,16 +3,18 @@
 PSD eigenvalues and matrix square roots, condition numbers,
 log-determinants by a PSD-guarded Cholesky factorization (with the
 eigenvalue path as its fallback) and correlated complex Gaussian sampling.
-Every routine takes and returns plain numpy arrays or floats, and factors
-a centrohermitian matrix (every Hermitian Toeplitz one) in real arithmetic.
+Every routine takes and returns plain numpy arrays or floats, and factors a
+centrohermitian matrix (every Hermitian Toeplitz one), or one that is E S E^H
+for a real S and a diagonal unitary E, in real arithmetic.
 All correlation-matrix consumers in the package go through these routines
 so that the Hermitian check and the PSD clipping policy live in one place.
-:func:`one_blas_thread` scopes numpy's BLAS to one thread.
+:func:`one_blas_thread` and :func:`flush_subnormals` set a sweep point's FP state.
 """
 
 from __future__ import annotations
 
 import ctypes
+import platform
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -71,6 +73,43 @@ def one_blas_thread():
         set_(previous)
 
 
+# MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6).  glibc's x86-64
+# fenv_t is eight 32-bit words, and the last one, at byte 28, is the MXCSR.
+_FTZ_DAZ = 0x8040
+
+
+@lru_cache(maxsize=1)
+def _fenv():
+    """glibc's (fegetenv, fesetenv) on x86-64, or None where the MXCSR's place is not known."""
+    lib = ctypes.CDLL(None) if platform.machine() == "x86_64" else None
+    if lib is None or not all(hasattr(lib, f) for f in ("gnu_get_libc_version", "fegetenv")):
+        return None
+    for f in (lib.fegetenv, lib.fesetenv):
+        f.argtypes, f.restype = [ctypes.POINTER(ctypes.c_uint32)], ctypes.c_int
+    return lib.fegetenv, lib.fesetenv
+
+
+@contextmanager
+def flush_subnormals():
+    """Run the body with subnormal floats read and written as zero, then restore the FP state.
+
+    Kernels that decay through the subnormal range (the Gaussian kernel at
+    broadside) then do not stall the CPU.  Off glibc x86-64 this does nothing.
+    """
+    fenv = _fenv()
+    if fenv is None:
+        yield
+        return
+    get, set_ = fenv
+    saved = (ctypes.c_uint32 * 8)()
+    get(saved)
+    set_((ctypes.c_uint32 * 8)(*saved[:-1], saved[-1] | _FTZ_DAZ))
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def _check_finite(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -90,24 +129,43 @@ def _hermitian_and_scale(a: np.ndarray) -> tuple[np.ndarray, float]:
         if resid > HERMITIAN_RTOL * scale:
             raise InvalidMatrix(f"Hermitian residual {resid:.3e} exceeds {HERMITIAN_RTOL:.0e}"
                                 f" * max|A| = {HERMITIAN_RTOL * scale:.3e}")
-    return np.asarray(a, dtype=complex), scale
+    return np.asarray(a, dtype=complex if np.iscomplexobj(a) else float), scale
 
 
 def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate conjugate symmetry of ``a`` and return it as a complex array."""
-    return _hermitian_and_scale(a)[0]
+    return np.asarray(_hermitian_and_scale(a)[0], dtype=complex)
+
+
+def _similar_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A, e): a real symmetric A unitarily similar to Hermitian ``a`` if found, else (a, None).
+
+    Centrohermitian a (max|J a J - conj(a)| <= HERMITIAN_RTOL * max|a|, J the exchange
+    matrix) gives A = Re(U^H a U), U = (I + iJ)/sqrt(2) (A. Lee, LAA 29, 1980), and e = None.
+    Else E = diag(e), e the running product of the phases of a's first subdiagonal, and
+    A = Re(E^H a E) if its imaginary part is within the same residual (shadowed, one AoA).
+    """
+    a, scale = _hermitian_and_scale(a)
+    tol = HERMITIAN_RTOL * scale
+    d = a.diagonal()  # its residual alone rejects a shadowed matrix in O(M)
+    if np.abs(d[::-1] - d.conj()).max() <= tol and np.abs(a[::-1, ::-1] - a.conj()).max() <= tol:
+        s = a.real + a.real[::-1, ::-1]
+        s += a.imag[::-1, :]
+        s -= a.imag[:, ::-1]
+        s /= 2.0
+        return s, None
+    sub = np.where(a.diagonal(-1) != 0, a.diagonal(-1), 1.0)
+    e = np.cumprod(np.concatenate(([1.0 + 0j], sub / np.abs(sub))))
+    e /= np.abs(e)  # keeps E unitary: the product's rounding drifts off |e| = 1
+    b = a * np.outer(e.conj(), e)
+    if np.abs(b.imag).max() > tol:
+        return a, None
+    return b.real, e
 
 
 def _factor_form(a: np.ndarray) -> np.ndarray:
-    """``check_hermitian(a)``, or S = Re(U^H a U), U = (I + iJ)/sqrt(2), if a is centrohermitian.
-
-    J is the exchange matrix.  When max|J a J - conj(a)| <= HERMITIAN_RTOL * max|a|, a is
-    unitarily similar to the real symmetric S up to that residual (A. Lee, LAA 29, 1980).
-    """
-    a, scale = _hermitian_and_scale(a)
-    if np.abs(a[::-1, ::-1] - a.conj()).max() > HERMITIAN_RTOL * scale:
-        return a
-    return (a.real + a.real[::-1, ::-1] + a.imag[::-1, :] - a.imag[:, ::-1]) / 2.0
+    """The matrix of :func:`_similar_form`: real symmetric where it can be, else ``a``."""
+    return _similar_form(a)[0]
 
 
 def _clip_psd(values: np.ndarray) -> np.ndarray:
@@ -135,12 +193,17 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     Eigenvalues in the numerical-noise band below zero are clipped before
     taking the square root, so rank-deficient correlation matrices (one-ring
     with a small angular spread, for instance) are handled without Cholesky
-    failures.  A centrohermitian ``a`` gets U T U^H, T the root of its real form.
+    failures.  With T the root of a's real form (:func:`_similar_form`), a
+    centrohermitian ``a`` gets U T U^H and a phase-similar one E T E^H.
     """
-    vals, vecs = np.linalg.eigh(_factor_form(a))
+    form, e = _similar_form(a)
+    vals, vecs = np.linalg.eigh(form)
+    del form  # not held through the root's M x M temporaries
     lam = _clip_psd(vals[::-1])
     u = vecs[:, ::-1]
     t = (u * np.sqrt(lam)) @ u.conj().T
+    if e is not None:
+        return t * np.outer(e, e.conj())
     if np.iscomplexobj(t):
         return t
     return (t + t[::-1, ::-1]) / 2.0 + 1j * (t[::-1, :] - t[:, ::-1]) / 2.0
@@ -170,7 +233,7 @@ def _shifted_cholesky(a: np.ndarray, scale: float, shift: float) -> np.ndarray:
 def log2_det_ipm(r: np.ndarray, c: float) -> float:
     """log2 det(I + c R) for PSD R, as 2 sum log2 diag(L) with L L^H = I + c A.
 
-    A is R or its real form (:func:`_factor_form`), with R's spectrum.  A
+    A is R or its real form (:func:`_similar_form`), with R's spectrum.  A
     first Cholesky factorization of A + tau I, tau = PSD_RTOL * max diag A,
     guards the PSD policy: max diag A <= lambda_max, so its success means
     lambda_min > -PSD_RTOL * lambda_max and :func:`psd_eigvals` would accept

@@ -5,6 +5,7 @@ grids.  Each point executes ``trials`` independent realizations whose
 random streams derive only from (seed, point index, trial index), and
 each point runs with numpy's BLAS on one thread, so the output is
 byte-identical regardless of worker count, scheduling or BLAS threading.
+Each point also reads subnormal floats as zero (:func:`linalg.flush_subnormals`).
 The first point also keeps the process's freed heap mapped (:func:`_retain_heap`).
 What one trial computes is looked up in :mod:`chansim.registry`.
 """
@@ -72,7 +73,7 @@ def _run_point(args):
     _retain_heap()
     vals = np.empty(cfg.trials)
     try:
-        with linalg.one_blas_thread():
+        with linalg.one_blas_thread(), linalg.flush_subnormals():
             scenario = None
             if cfg.freeze_geometry and METRICS[cfg.metric].scenario:
                 scenario = xl_scenario(cfg, np.random.default_rng([cfg.seed, index]))

@@ -7,14 +7,20 @@ For each preset NAME the script writes three files to OUTDIR:
 - ``NAME.preset``: the text that ``chansim preset NAME`` prints.
 
 The 30 presets give 90 files.  Run it on two checkouts, at the same BLAS
-thread setting, and compare the directories (``diff -r``) to see which
-bytes a change moves.  Run from the repository root:
+thread setting, and compare the directories to see which bytes a change
+moves.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/fixtures/preset_bytes.py OUTDIR [PRESET ...]
+    PYTHONPATH=src python3 tests/fixtures/preset_bytes.py --compare BEFORE AFTER
 
-Without names, every preset is written.
+Without names, every preset is written.  ``--compare`` prints one line per
+file that differs, missing files included.  For a CSV the line gives the
+number of changed cells and, per column, how many changed and the worst
+relative change |after - before| / |before|, so mean and stderr columns
+read apart.  It exits 1 when any file differs.
 """
 
+import csv
 import sys
 from pathlib import Path
 
@@ -41,7 +47,53 @@ def main(outdir, names):
     print(f"wrote {3 * len(names)} files to {out}")
 
 
+def _relative_change(before: str, after: str) -> float:
+    try:
+        b, a = float(before), float(after)
+    except ValueError:
+        return float("inf")
+    return abs(a - b) / abs(b) if b else float("inf")
+
+
+def csv_changes(before: str, after: str) -> str:
+    """Changed cells of two CSV texts: a count, then per column its count and worst change."""
+    rows_b, rows_a = list(csv.reader(before.splitlines())), list(csv.reader(after.splitlines()))
+    if rows_b[:1] != rows_a[:1] or len(rows_b) != len(rows_a):
+        return "header or row count differs"
+    worst = {}
+    for row_b, row_a in zip(rows_b[1:], rows_a[1:]):
+        for col, b, a in zip(rows_b[0], row_b, row_a):
+            if b != a:
+                count, rel = worst.get(col, (0, 0.0))
+                worst[col] = count + 1, max(rel, _relative_change(b, a))
+    cells = sum(count for count, _ in worst.values())
+    return f"{cells} changed cells; " + ", ".join(
+        f"{col} {worst[col][0]} worst {worst[col][1]:.2g}" for col in rows_b[0] if col in worst)
+
+
+def compare(before, after) -> int:
+    """Print one line per file that differs between two output directories; 1 if any does."""
+    before, after = Path(before), Path(after)
+    names = sorted({p.name for p in before.iterdir()} | {p.name for p in after.iterdir()})
+    changed = 0
+    for name in names:
+        b, a = before / name, after / name
+        if not (b.exists() and a.exists()):
+            print(f"{name}: only in {b.parent if b.exists() else a.parent}")
+        elif b.read_bytes() == a.read_bytes():
+            continue
+        elif name.endswith(".csv"):
+            print(f"{name}: {csv_changes(b.read_text('utf-8'), a.read_text('utf-8'))}")
+        else:
+            print(f"{name}: differs")
+        changed += 1
+    print(f"{changed} of {len(names)} files differ")
+    return int(changed > 0)
+
+
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit(f"usage: {sys.argv[0]} OUTDIR [PRESET ...]")
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    if len(sys.argv) < 2 or sys.argv[1].startswith("--"):
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR [PRESET ...] | --compare BEFORE AFTER")
     main(sys.argv[1], sys.argv[2:])

@@ -87,3 +87,27 @@ def test_preset_bytes_writes_csv_manifest_and_preset_text(tmp_path):
     cli = subprocess.run([sys.executable, "-m", "chansim.cli", "preset", "fig5a"],
                          capture_output=True)
     assert (out / "fig5a.preset").read_bytes() == cli.stdout
+
+
+def test_preset_bytes_compare_lists_changed_cells(tmp_path):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for d in (before, after):
+        d.mkdir()
+        (d / "same.preset").write_text("x\n")
+    (before / "a.csv").write_text("m,mean,stderr,min,max\n20,100,0.5,99,101\n60,200,0,200,200\n")
+    (after / "a.csv").write_text("m,mean,stderr,min,max\n20,100,0.6,99,101\n60,200.02,0,200,200\n")
+    (before / "a.csv.manifest").write_text("m = 20\n")
+    (after / "a.csv.manifest").write_text("m = 60\n")
+    (before / "gone.csv").write_text("m\n")
+    proc = subprocess.run([sys.executable, str(FIXTURES / "preset_bytes.py"), "--compare",
+                           str(before), str(after)], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "a.csv: 2 changed cells; mean 1 worst 0.0001, stderr 1 worst 0.2",
+        "a.csv.manifest: differs",
+        f"gone.csv: only in {before}",
+        "3 of 4 files differ",
+    ]
+    same = subprocess.run([sys.executable, str(FIXTURES / "preset_bytes.py"), "--compare",
+                           str(before), str(before)], capture_output=True, text=True)
+    assert (same.returncode, same.stdout) == (0, "0 of 4 files differ\n")

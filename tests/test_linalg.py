@@ -1,16 +1,21 @@
+import ctypes
+import platform
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansim import linalg
-from chansim.cbsm import exponential_correlation
+from chansim.cbsm import (exponential_correlation, exponential_with_shadowing,
+                          uncorrelated_with_shadowing)
 from chansim.errors import InvalidMatrix, InvalidParam, NotPSD
 from chansim.gbsm import (UlaGeometry, UpaGeometry, gaussian_ula_closed, gaussian_ula_numeric,
                           gaussian_ula_shadowed, gaussian_upa, onering_ula, onering_upa)
 from chansim.linalg import (PSD_RTOL, check_hermitian, complex_gaussian, condition_number,
-                            log2_det_ipm, one_blas_thread, psd_eigvals, psd_sqrt,
-                            sample_correlated)
+                            flush_subnormals, log2_det_ipm, one_blas_thread, psd_eigvals,
+                            psd_sqrt, sample_correlated)
 from chansim.metrics import capacity_single, capacity_ub
 
 
@@ -250,19 +255,49 @@ def test_real_form_is_the_unitary_similarity(name):
     assert np.abs(s - (u.conj().T @ r @ u).real).max() <= 1e-15 * np.abs(r).max()
 
 
-@pytest.mark.parametrize("name", sorted(CENTROHERMITIAN) + ["shadowed", "random-psd"])
+def phase_form_cases():
+    """Shadowed matrices with one direction of arrival: D K D, K a phase ramp times real."""
+    rng = np.random.default_rng(22)
+    for m in (2, 7, 40, 100):
+        f = rng.normal(0.0, 4.0, m)
+        for phi in (0.0, 30.0, 90.0, 200.0):
+            yield f"gaussian-{m}-{phi:g}", gaussian_ula_shadowed(
+                UlaGeometry(m=m), f, np.radians([phi]), sigma_phi=np.radians(15.0))
+        for rho, theta in ((0.0, 0.3), (0.5, 0.0), (0.9, np.pi / 2), (1.0, 1.234), (0.99, -2.5)):
+            yield f"exponential-{m}-{rho:g}-{theta:.3g}", exponential_with_shadowing(f, rho, theta)
+    yield "uncorrelated-20", uncorrelated_with_shadowing(1.0, rng.normal(0.0, 4.0, 20))
+
+
+PHASE_FORM = dict(phase_form_cases())
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_FORM))
+def test_phase_form_is_the_unitary_similarity(name):
+    r = PHASE_FORM[name]
+    s, e = linalg._similar_form(r)
+    assert s.dtype == float and e is not None
+    assert np.array_equal(linalg._factor_form(r), s)
+    assert np.abs(np.abs(e) - 1.0).max() <= 1e-13
+    big_e = np.diag(e)
+    assert np.abs(s - (big_e.conj().T @ r @ big_e).real).max() <= 1e-15 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("name", sorted(CENTROHERMITIAN) + sorted(PHASE_FORM)
+                         + ["shadowed", "random-psd"])
 def test_psd_sqrt_is_a_hermitian_root_on_both_paths(name):
     if name in CENTROHERMITIAN:
         r = CENTROHERMITIAN[name]
         if name.startswith("toeplitz"):
             # shifted by its smallest eigenvalue: PSD, still Toeplitz and singular
             r = r - np.linalg.eigvalsh(r)[0] * np.eye(r.shape[0])
+    elif name in PHASE_FORM:
+        r = PHASE_FORM[name]
     elif name == "shadowed":
         r = shadowed_gaussian(1)
     else:
         r = random_psd(16, np.random.default_rng(21))
     real_path = linalg._factor_form(r).dtype == float
-    assert real_path == (name in CENTROHERMITIAN)
+    assert real_path == (name in CENTROHERMITIAN or name in PHASE_FORM)
     s = psd_sqrt(r)
     assert s.dtype == complex
     check_hermitian(s)
@@ -276,6 +311,24 @@ def test_psd_sqrt_is_a_hermitian_root_on_both_paths(name):
 def test_indefinite_toeplitz_raises_on_real_path(fn, col):
     r = hermitian_toeplitz(col)
     assert linalg._factor_form(r).dtype == float
+    assert np.linalg.eigvalsh(r)[0] < -0.1
+    with pytest.raises(NotPSD):
+        fn(r)
+
+
+def indefinite_phase_form():
+    """E D T D E^H, T an indefinite real Toeplitz matrix: neither PSD nor centrohermitian."""
+    t = hermitian_toeplitz([1.0, 2.0, 0.0, 0.0]).real
+    d = np.array([1.0, 2.0, 0.5, 3.0])
+    e = np.exp(0.7j * np.arange(4))
+    return (d * e)[:, None] * t * (d * e.conj())
+
+
+@pytest.mark.parametrize("fn", [psd_sqrt, psd_eigvals, lambda r: log2_det_ipm(r, 1.0)],
+                         ids=["psd_sqrt", "psd_eigvals", "log2_det_ipm"])
+def test_indefinite_phase_form_raises_on_real_path(fn):
+    r = indefinite_phase_form()
+    assert linalg._similar_form(r)[1] is not None
     assert np.linalg.eigvalsh(r)[0] < -0.1
     with pytest.raises(NotPSD):
         fn(r)
@@ -313,6 +366,46 @@ def test_shadowed_matrix_keeps_the_complex_path_bit_for_bit(seed):
     assert np.array_equal(psd_eigvals(r), complex_psd_eigvals(r))
     for c in (0.0, 1e-3, 25.0, 1e6):
         assert log2_det_ipm(r, c) == complex_log2_det_ipm(r, c)
+
+
+def oracle_cases():
+    """16 shadowed matrices, M <= 32, that take the phase real form."""
+    rng = np.random.default_rng(30)
+    for m, phi, sigma in ((8, 0, 5), (16, 0, 15), (32, 0, 15), (16, 30, 5), (32, 30, 15),
+                          (8, 90, 15), (32, 90, 5), (24, 200, 10)):
+        f = rng.normal(0.0, 4.0, m)
+        yield f"gaussian-{m}-{phi}-{sigma}", gaussian_ula_shadowed(
+            UlaGeometry(m=m), f, np.radians([phi]), sigma_phi=np.radians(sigma))
+    for m, rho, theta in ((8, 0.0, 0.3), (16, 0.5, 0.0), (32, 0.9, np.pi / 2), (32, 1.0, 1.234),
+                          (16, 0.99, 2.5), (24, 0.2, -1.0), (32, 0.6, 1.234), (8, 0.95, np.pi)):
+        f = rng.normal(0.0, 4.0, m)
+        yield f"exponential-{m}-{rho}-{theta:.3g}", exponential_with_shadowing(f, rho, theta)
+
+
+ORACLE = dict(oracle_cases())
+
+
+@pytest.mark.parametrize("eta", [1e2, 1e6])
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_shadowed_log_det_matches_40_digit_determinant(name, eta):
+    r = ORACLE[name]
+    m = r.shape[0]
+    c = eta / m
+    assert linalg._similar_form(r)[1] is not None
+    with mpmath.workdps(40):
+        a = mpmath.matrix(m, m)
+        for i in range(m):
+            for j in range(m):
+                a[i, j] = (i == j) + mpmath.mpf(c) * mpmath.mpc(r[i, j].real, r[i, j].imag)
+        want = float(mpmath.log(mpmath.re(mpmath.det(a)), 2))
+    # u: the first-order change of the value, in bits, when every entry of R moves by
+    # eps * max|R|.  The bound is twice the complex path's worst measured error, 0.25 u, over
+    # random shadowed matrices (M <= 16, eta 1e2 and 1e6); in two samples of 400 the complex
+    # path reached 0.13 u and the real path 0.19 u.  Here the worst are 0.07 u (complex) and
+    # 0.12 u (real); near rank 1 at eta = 1e6 that is 2.6e-12 and 1.2e-11 relative.
+    tol = 0.5 * c * m * np.finfo(float).eps * np.abs(r).max() / np.log(2.0)
+    assert abs(log2_det_ipm(r, c) - want) <= tol
+    assert abs(complex_log2_det_ipm(r, c) - want) <= tol
 
 
 def test_sample_correlated_zero_factor():
@@ -377,3 +470,38 @@ def test_one_blas_thread_on_numpys_openblas():
         assert get() == 2
     finally:
         set_(before)
+
+
+def _mxcsr():
+    env = (ctypes.c_uint32 * 8)()
+    linalg._fenv()[0](env)
+    return env[-1]
+
+
+def test_flush_subnormals_sets_ftz_daz_and_restores():
+    if linalg._fenv() is None:
+        pytest.skip("the FP policy applies only to glibc on x86-64")
+    tiny = np.finfo(float).tiny
+    before = _mxcsr()
+    assert before & linalg._FTZ_DAZ == 0
+    with flush_subnormals():
+        assert _mxcsr() & linalg._FTZ_DAZ == linalg._FTZ_DAZ
+        assert tiny / 4 == 0.0
+        assert np.array([tiny]) / 4 == 0.0
+    assert _mxcsr() == before
+    assert tiny / 4 > 0.0
+    with pytest.raises(ZeroDivisionError), flush_subnormals():
+        1 / 0
+    assert _mxcsr() == before
+
+
+def test_flush_subnormals_is_a_no_op_without_fenv(monkeypatch):
+    monkeypatch.setattr(linalg, "_fenv", lambda: None)
+    with flush_subnormals():
+        assert np.finfo(float).tiny / 4 > 0.0
+
+
+def test_fenv_found_on_glibc_x86_64():
+    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+        pytest.skip("the FP policy applies only to glibc on x86-64")
+    assert linalg._fenv() is not None

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import os
 import platform
@@ -7,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from chansim import cli, runner, xlmimo
+from chansim import cli, linalg, runner, xlmimo
 from chansim.config import ExperimentConfig, SweepSpec, parse_config
 from chansim.errors import IoError, RankDeficient
+from chansim.gbsm import UlaGeometry, gaussian_ula_closed
 from chansim.presets import preset
 from chansim.registry import METRICS, MODELS, build_correlation
 from chansim.runner import RunResult, emit_csv, run_experiment, trial_value
@@ -155,6 +157,69 @@ def test_csv_independent_of_heap_policy(tmp_path, name):
     for heap in ("on", "off"):
         out = tmp_path / f"{heap}.csv"
         subprocess.run([sys.executable, "-c", RUN_WITH_HEAP, heap, "run", "--config", str(cfg),
+                        "--out", str(out)], check=True, timeout=120)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+# At broadside the Gaussian kernel decays through the subnormal range.
+BROADSIDE = """
+model = gaussian_ula_shadowed
+metric = capacity_ub
+trials = 3
+geometry.m = 100
+model.phi_deg = 0
+model.sigma_phi_deg = 15
+model.sigma_shad = 4
+sweep.param = m
+sweep.grid = 100,220
+"""
+
+
+def _mxcsr():
+    env = (ctypes.c_uint32 * 8)()
+    linalg._fenv()[0](env)
+    return env[-1]
+
+
+def test_sweep_points_flush_subnormals_and_restore(monkeypatch):
+    if linalg._fenv() is None:
+        pytest.skip("the FP policy applies only to glibc on x86-64")
+    # The six low MXCSR bits are exception flags, which the program may raise in between.
+    before = _mxcsr() & ~0x3F
+    seen = []
+    monkeypatch.setattr(runner, "trial_value",
+                        lambda cfg, rng, scenario=None: seen.append(_mxcsr()) or 0.0)
+    run_experiment(parse_config(SMALL))
+    assert len(seen) == 3
+    assert all(v & linalg._FTZ_DAZ == linalg._FTZ_DAZ for v in seen)
+    assert _mxcsr() & ~0x3F == before
+    assert np.finfo(float).tiny / 4 > 0.0
+
+
+def test_sweep_without_fenv_gives_same_rows(monkeypatch):
+    cfg = parse_config(BROADSIDE)
+    expected = run_experiment(cfg).rows
+    monkeypatch.setattr(linalg, "_fenv", lambda: None)
+    assert run_experiment(cfg).rows == expected
+    assert np.finfo(float).tiny / 4 > 0.0
+
+
+# Runs ``chansim run``; with "off" first, the FP policy finds no fegetenv.
+RUN_WITH_FP = ("import sys; from chansim import cli, linalg\n"
+               "if sys.argv[1] == 'off': linalg._fenv = lambda: None\n"
+               "sys.exit(cli.main(sys.argv[2:]))")
+
+
+def test_csv_independent_of_fp_policy(tmp_path):
+    kernel = gaussian_ula_closed(UlaGeometry(m=100), phi=0.0, sigma_phi=np.radians(15.0))
+    assert np.sum((kernel.real != 0) & (np.abs(kernel.real) < np.finfo(float).tiny)) > 0
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(BROADSIDE)
+    csvs = []
+    for fp in ("on", "off"):
+        out = tmp_path / f"{fp}.csv"
+        subprocess.run([sys.executable, "-c", RUN_WITH_FP, fp, "run", "--config", str(cfg),
                         "--out", str(out)], check=True, timeout=120)
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
