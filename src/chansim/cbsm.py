@@ -67,7 +67,15 @@ def exponential_with_shadowing(f: np.ndarray, rho: float, theta: float,
     if f.ndim != 1:
         raise InvalidParam(f"shadow draw must be 1-D, got shape {f.shape}")
     phase = np.exp(1j * np.arange(1 - f.size, f.size) * theta)  # once per lag n - m
-    base = exponential_correlation(f.size, rho) * np.lib.stride_tricks.sliding_window_view(
+    r = exponential_correlation(f.size, rho) * np.lib.stride_tricks.sliding_window_view(
         phase, f.size)[::-1]
-    shad = 10.0 ** ((f[:, None] + f[None, :]) / 20.0)
-    return beta * base * shad
+    r *= beta
+    r *= shadow_power(f, 20.0)
+    return r
+
+
+def shadow_power(f: np.ndarray, db: float) -> np.ndarray:
+    """The M x M shadow gains 10^((f_m + f_n) / db), built in one buffer."""
+    p = np.add.outer(f, f)
+    p /= db
+    return np.power(10.0, p, out=p)

@@ -26,12 +26,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cbsm import shadow_power
 from .errors import InvalidParam, QuadratureWarning, ValidityWarning
 
 DEFAULT_NODES = 201
 MAX_QUAD_NODES = 4001   # the cap of sized_quadrature
 # Elevation columns per block of the planar lag-table sum.
 _EL_BLOCK = 32
+# At most this many rows per panel of the ULA product A diag(w) A^H.
+_ROW_PANEL = 64
 # Gaussian scattering integrals are truncated at +/- this many sigmas.
 GAUSSIAN_TRUNCATION = 6.0
 
@@ -147,12 +150,28 @@ def gaussian_nodes(phi: float, sigma: float, quad: QuadratureConfig):
 
 def _ula_from_angles(geom: UlaGeometry, angles: np.ndarray, weights: np.ndarray,
                      beta: float) -> np.ndarray:
-    """Assemble beta * sum_j w_j a(angle_j) a(angle_j)^H with sum(w) == 1."""
+    """Assemble beta * sum_j w_j a(angle_j) a(angle_j)^H with sum(w) == 1.
+
+    The M x N steering matrix, held as conj(A), is the only full-size
+    temporary: its transpose is A^H, and A diag(w) A^H is taken in even row
+    panels of at most ``_ROW_PANEL`` rows.  Each panel equals its rows of
+    the one-piece product bit for bit; a last panel of one row would not
+    (gemv sums differ from gemm's; README, decisions ledger).
+    """
     m = np.arange(geom.m)
-    a = np.exp(2j * np.pi * geom.d_h * m[:, None] * np.sin(angles)[None, :])
-    r = (a * weights) @ a.conj().T
+    a = 2j * np.pi * geom.d_h * m[:, None] * np.sin(angles)[None, :]
+    np.exp(a, out=a)
+    np.conjugate(a, out=a)
+    r = np.empty((geom.m, geom.m), dtype=complex)
+    panels = -(-geom.m // _ROW_PANEL)
+    edges = [geom.m * k // panels for k in range(panels + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        panel = np.conjugate(a[lo:hi])
+        panel *= weights
+        np.matmul(panel, a.T, out=r[lo:hi])
     np.fill_diagonal(r, 1.0)
-    return beta * r
+    r *= beta
+    return r
 
 
 def onering_ula(geom: UlaGeometry, *, phi: float, delta_phi: float, beta: float = 1.0,
@@ -226,8 +245,14 @@ def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.n
         acc += phase * damp
     acc = np.lib.stride_tricks.sliding_window_view(acc[::-1], f.size)[::-1]
     # Without shadowing every entry of the M x M power is exactly 1; skip it.
-    shad = 10.0 ** ((f[:, None] + f[None, :]) / 10.0) if np.any(f) else 1.0
-    return beta * shad * acc / phis.size
+    if not np.any(f):
+        r = beta * acc
+    else:
+        shad = shadow_power(f, 10.0)
+        shad *= beta
+        r = shad * acc
+    r /= phis.size
+    return r
 
 
 def draw_scatterer_angles(s: int, rng: np.random.Generator) -> np.ndarray:
@@ -281,12 +306,15 @@ def _upa_from_angles(geom: UpaGeometry, az: np.ndarray, el: np.ndarray,
     for j in range(0, el.size, _EL_BLOCK):
         cols = slice(j, j + _EL_BLOCK)
         # e_ij: the horizontal phase of one unit lag at each node of the block.
-        step = np.exp(1j * (2.0 * np.pi * geom.d_h * np.outer(sin_az, np.cos(el[cols]))))
+        step = np.outer(sin_az, np.cos(el[cols]))
+        step *= 2.0 * np.pi * geom.d_h
+        step = 1j * step
+        np.exp(step, out=step)
         term = weights[:, cols].astype(complex)   # W_ij e_ij^dy, from dy = 0
-        s[0, cols] = np.sum(term, axis=0)
+        np.sum(term, axis=0, out=s[0, cols])
         for dy in range(1, m_h):
             term *= step
-            s[dy, cols] = np.sum(term, axis=0)
+            np.sum(term, axis=0, out=s[dy, cols])
     dz = np.arange(-(m_v - 1), m_v)
     e_z = np.exp(2j * np.pi * geom.d_v * dz[:, None] * np.sin(el)[None, :])
     lag = np.empty((2 * m_h - 1, 2 * m_v - 1), dtype=complex)   # row m_h-1 is dy = 0

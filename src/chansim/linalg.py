@@ -114,9 +114,25 @@ def _check_finite(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidMatrix(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
+    # A view for C- or Fortran-ordered a, else a copy: a.view(float) needs a contiguous
+    # last axis, and the float view tests twice as fast as the complex array.
+    flat = a.ravel(order="K")
+    if not np.isfinite(flat.view(float) if np.iscomplexobj(a) else flat).all():
         raise InvalidMatrix("matrix contains NaN or Inf entries")
     return a
+
+
+def _conj_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - conj(b)| for ``b`` a view of ``a``, from one full-size copy of ``b``.
+
+    The copy is explicit: ``np.ascontiguousarray(a.T)`` is ``a`` itself for a
+    1 x 1 or Fortran-ordered ``a``, and conjugating it in place would change
+    the caller's matrix.
+    """
+    d = b.copy()
+    np.conjugate(d, out=d)
+    np.subtract(a, d, out=d)
+    return np.abs(d).max()
 
 
 def _hermitian_and_scale(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -125,7 +141,7 @@ def _hermitian_and_scale(a: np.ndarray) -> tuple[np.ndarray, float]:
         raise InvalidMatrix("Hermitian matrix must be square")
     scale = np.abs(a).max()
     if scale > 0:
-        resid = np.abs(a - a.conj().T).max()
+        resid = _conj_residual(a, a.T)
         if resid > HERMITIAN_RTOL * scale:
             raise InvalidMatrix(f"Hermitian residual {resid:.3e} exceeds {HERMITIAN_RTOL:.0e}"
                                 f" * max|A| = {HERMITIAN_RTOL * scale:.3e}")
@@ -144,23 +160,27 @@ def _similar_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     matrix) gives A = Re(U^H a U), U = (I + iJ)/sqrt(2) (A. Lee, LAA 29, 1980), and e = None.
     Else E = diag(e), e the running product of the phases of a's first subdiagonal, and
     A = Re(E^H a E) if its imaginary part is within the same residual (shadowed, one AoA).
+    A real A is a compact copy, so the complex E^H a E is freed on return.
     """
     a, scale = _hermitian_and_scale(a)
     tol = HERMITIAN_RTOL * scale
     d = a.diagonal()  # its residual alone rejects a shadowed matrix in O(M)
-    if np.abs(d[::-1] - d.conj()).max() <= tol and np.abs(a[::-1, ::-1] - a.conj()).max() <= tol:
+    # max|a - conj(J a J)| is max|J a J - conj(a)| exactly: only signs differ.
+    if np.abs(d[::-1] - d.conj()).max() <= tol and _conj_residual(a, a[::-1, ::-1]) <= tol:
         s = a.real + a.real[::-1, ::-1]
-        s += a.imag[::-1, :]
-        s -= a.imag[:, ::-1]
+        if np.iscomplexobj(a):
+            s += a.imag[::-1, :]
+            s -= a.imag[:, ::-1]
         s /= 2.0
         return s, None
     sub = np.where(a.diagonal(-1) != 0, a.diagonal(-1), 1.0)
     e = np.cumprod(np.concatenate(([1.0 + 0j], sub / np.abs(sub))))
     e /= np.abs(e)  # keeps E unitary: the product's rounding drifts off |e| = 1
-    b = a * np.outer(e.conj(), e)
+    b = np.outer(e.conj(), e)
+    np.multiply(a, b, out=b)
     if np.abs(b.imag).max() > tol:
         return a, None
-    return b.real, e
+    return b.real.copy(), e
 
 
 def _factor_form(a: np.ndarray) -> np.ndarray:
@@ -202,11 +222,20 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     lam = _clip_psd(vals[::-1])
     u = vecs[:, ::-1]
     t = (u * np.sqrt(lam)) @ u.conj().T
+    del u, vecs  # nor the eigenvectors
     if e is not None:
-        return t * np.outer(e, e.conj())
+        root = np.outer(e, e.conj())
+        return np.multiply(t, root, out=root)
     if np.iscomplexobj(t):
         return t
-    return (t + t[::-1, ::-1]) / 2.0 + 1j * (t[::-1, :] - t[:, ::-1]) / 2.0
+    # U T U^H = (T + J T J)/2 + i (J T - T J)/2, written into one complex array.
+    root = np.empty(t.shape, dtype=complex)
+    re, im = root.real, root.imag
+    np.add(t, t[::-1, ::-1], out=re)
+    re /= 2.0
+    np.subtract(t[::-1, :], t[:, ::-1], out=im)
+    im /= 2.0
+    return root
 
 
 def condition_number(a: np.ndarray) -> float:

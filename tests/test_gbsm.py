@@ -13,7 +13,7 @@ from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry,
                           gaussian_ula_numeric, gaussian_ula_shadowed,
                           gaussian_upa, onering_ula, onering_upa,
                           upa_antenna_index)
-from chansim.linalg import log2_det_ipm, psd_eigvals
+from chansim.linalg import log2_det_ipm, one_blas_thread, psd_eigvals
 
 
 def trapz_onering_entry(diff, phi, delta, d_h, n=1_000_001):
@@ -505,3 +505,16 @@ def test_sized_builders_warn_exactly_when_the_cap_binds(monkeypatch, build, spre
     # fig12d at sigma = 15 deg needs 628 d_H nodes: capped from d_H = 6.5 on
     expected = list(D_H_GRID >= 6.5) if spread_deg == 15.0 else [False] * D_H_GRID.size
     assert capped == expected
+
+
+@pytest.mark.parametrize("n", [101, 201, 399])
+@pytest.mark.parametrize("m", [1, 20, 64, 65, 100, 380])
+def test_panelled_ula_assembly_is_the_one_piece_product(m, n):
+    # Below, at and just above one panel of gbsm._ROW_PANEL rows.
+    angles, w = gbsm.onering_nodes(0.3, 0.2, QuadratureConfig(n))
+    a = np.exp(2j * np.pi * 0.5 * np.arange(m)[:, None] * np.sin(angles)[None, :])
+    with one_blas_thread():
+        want = (a * w) @ a.conj().T
+        np.fill_diagonal(want, 1.0)
+        got = gbsm._ula_from_angles(UlaGeometry(m=m), angles, w, 1.7)
+    assert got.tobytes() == (1.7 * want).tobytes()

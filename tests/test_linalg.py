@@ -505,3 +505,52 @@ def test_fenv_found_on_glibc_x86_64():
     if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
         pytest.skip("the FP policy applies only to glibc on x86-64")
     assert linalg._fenv() is not None
+
+
+def strided_layouts(r):
+    """The matrix r (Hermitian PSD) as a C, a Fortran-ordered and a transposed array."""
+    return {"c": r, "fortran": np.asfortranarray(r), "transposed": r.T}
+
+
+# Matrices that take the real, the phase and the complex path; the step-2 views are
+# principal submatrices, so still Hermitian PSD.
+STRIDED_INPUTS = {
+    **{f"onering-{k}": v for k, v in strided_layouts(
+        onering_ula(UlaGeometry(m=12), phi=0.3, delta_phi=0.2)).items()},
+    **{f"shadowed-{k}": v for k, v in strided_layouts(shadowed_gaussian(3)).items()},
+    **{f"random-{k}": v for k, v in strided_layouts(
+        random_psd(9, np.random.default_rng(8))).items()},
+    "onering-step2": onering_ula(UlaGeometry(m=24), phi=0.3, delta_phi=0.2)[::2, ::2],
+    "random-step2": random_psd(18, np.random.default_rng(9))[::2, ::2],
+}
+ENTRY_POINTS = {
+    "psd_eigvals": psd_eigvals,
+    "psd_sqrt": psd_sqrt,
+    "check_hermitian": check_hermitian,
+    "condition_number": condition_number,
+    "log2_det_ipm": lambda r: log2_det_ipm(r, 10.0),
+    "capacity_ub": lambda r: capacity_ub(r, 100.0),
+    "sample_correlated": lambda r: sample_correlated(r, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRIDED_INPUTS))
+@pytest.mark.parametrize("fn", sorted(ENTRY_POINTS))
+def test_entry_points_take_any_strides(fn, name):
+    # A complex matrix whose last axis is not contiguous once raised numpy's
+    # ValueError from the finiteness check.  The value is that of a C copy, up to
+    # the BLAS's summation order in sample_correlated's product.
+    r = STRIDED_INPUTS[name]
+    got, want = ENTRY_POINTS[fn](r), ENTRY_POINTS[fn](np.ascontiguousarray(r))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "transposed", "step2"])
+@pytest.mark.parametrize("fn", sorted(ENTRY_POINTS))
+def test_non_finite_entries_raise_invalid_matrix_in_any_layout(fn, layout):
+    r = random_psd(6, np.random.default_rng(10))
+    r[3, 1] = complex(np.nan, 1.0)
+    r = {"c": r, "fortran": np.asfortranarray(r), "transposed": r.T,
+         "step2": np.kron(r, np.ones((2, 2)))[::2, ::2]}[layout]
+    with pytest.raises(InvalidMatrix, match="NaN or Inf"):
+        ENTRY_POINTS[fn](r)
