@@ -5,6 +5,9 @@ model with log-normal shadowing, and the exponential model with shadowing.
 Shadowing vectors are drawn once per correlation-matrix realization, i.e.
 per Monte Carlo trial, since shadowing is a large-scale effect.  The
 shadowed builders take the antenna count M from the length of that draw.
+Every lag-row kernel K, here and in :mod:`chansim.gbsm`, is computed on its
+2M - 1 lags and read through :func:`toeplitz`; a shadowed model is D K D
+with D = diag(10^(f/db)) (:func:`shade`), so no M x M shadow power is formed.
 """
 
 from __future__ import annotations
@@ -21,13 +24,29 @@ def exponential_correlation(m: int, rho: float) -> np.ndarray:
     diagonal.  For real rho in [0, 1] this is the symmetric Toeplitz matrix
     rho^|n-m| with unit diagonal; no path-loss scaling is applied here.
     """
+    return np.array(toeplitz(_exponential_lags(m, rho)), dtype=float)
+
+
+def _exponential_lags(m: int, rho: float) -> np.ndarray:
+    """rho^|k| at the lags k = -(M-1)..M-1."""
     if m < 1:
         raise InvalidParam(f"antenna count must be >= 1, got {m}")
     if not 0.0 <= rho <= 1.0:
         raise InvalidParam(f"correlation factor must be in [0, 1], got {rho}")
-    # Entry (m, n) of the sliding windows over the lags -(M-1)..M-1, rows reversed, is lag n - m.
-    lag_row = rho ** np.abs(np.arange(1 - m, m))
-    return np.array(np.lib.stride_tricks.sliding_window_view(lag_row, m)[::-1], dtype=float)
+    return rho ** np.abs(np.arange(1 - m, m))
+
+
+def toeplitz(lags: np.ndarray) -> np.ndarray:
+    """Lag n - m of the lags -(M-1)..M-1 at (m, n): read-only sliding windows, rows reversed."""
+    return np.lib.stride_tricks.sliding_window_view(lags, (lags.size + 1) // 2)[::-1]
+
+
+def shade(k: np.ndarray, f: np.ndarray, db: float) -> np.ndarray:
+    """D K D as a new array, D = diag(10^(f/db)): rows, then columns; f = 0 keeps K's bytes."""
+    g = 10.0 ** (f / db)
+    r = k * g[:, None]
+    r *= g
+    return r
 
 
 def draw_shadowing(m: int, sigma_shad: float, rng: np.random.Generator) -> np.ndarray:
@@ -56,7 +75,8 @@ def exponential_with_shadowing(f: np.ndarray, rho: float, theta: float,
 
     Entry (m, n) is beta * rho^|n-m| * exp(i (n-m) theta) * 10^((f_m+f_n)/20)
     for the AoA theta (radians), with M = len(f).  The phase term conjugates
-    under index swap, so the result is Hermitian.
+    under index swap, so the result is Hermitian.  It is built as D K D
+    for D = diag(10^(f/20)).
     Note the dB exponent here is (f_m+f_n)/20, not /10; this model and the
     shadowed Gaussian model use different conventions and each builder
     keeps its own.
@@ -67,15 +87,4 @@ def exponential_with_shadowing(f: np.ndarray, rho: float, theta: float,
     if f.ndim != 1:
         raise InvalidParam(f"shadow draw must be 1-D, got shape {f.shape}")
     phase = np.exp(1j * np.arange(1 - f.size, f.size) * theta)  # once per lag n - m
-    r = exponential_correlation(f.size, rho) * np.lib.stride_tricks.sliding_window_view(
-        phase, f.size)[::-1]
-    r *= beta
-    r *= shadow_power(f, 20.0)
-    return r
-
-
-def shadow_power(f: np.ndarray, db: float) -> np.ndarray:
-    """The M x M shadow gains 10^((f_m + f_n) / db), built in one buffer."""
-    p = np.add.outer(f, f)
-    p /= db
-    return np.power(10.0, p, out=p)
+    return shade(toeplitz(beta * (_exponential_lags(f.size, rho) * phase)), f, 20.0)

@@ -53,7 +53,7 @@ _RULES = {
 }
 
 
-# Spread fields that a planar model needs strictly positive.
+# Planar models -> the spread fields that each needs strictly positive.
 _PLANAR_SPREADS = {
     "onering_upa": ("delta_deg", "delta_theta_deg"),
     "gaussian_upa": ("sigma_phi_deg", "sigma_theta_deg"),
@@ -61,13 +61,14 @@ _PLANAR_SPREADS = {
 
 
 def _key(key: str, default=dataclasses.MISSING, sweep: str | None = None,
-         rule: str | None = None):
-    """A config field with its document key, sweep name and range rule.
+         rule: str | None = None, choices: tuple = ()):
+    """A config field with its document key, sweep name, range rule and accepted values.
 
     ``sweep`` names sweepable fields, ``rule`` (a key of ``_RULES``) bounds
-    numeric ones.  The value type is the default's; else it is a string.
+    numeric ones, ``choices`` lists the values of a categorical one.  The
+    value type is the default's; else it is a string.
     """
-    return field(default=default, metadata={"key": key, "sweep": sweep, "rule": rule})
+    return field(default=default, metadata=dict(key=key, sweep=sweep, rule=rule, choices=choices))
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ class ExperimentConfig:
     output row per combination.
     """
 
-    model: str = _key("model")
-    metric: str = _key("metric")
+    model: str = _key("model", choices=tuple(MODELS))
+    metric: str = _key("metric", choices=tuple(METRICS))
     sweep: SweepSpec
     curves: tuple = ()
     trials: int = _key("trials", 300, rule=">= 1")
@@ -109,15 +110,17 @@ class ExperimentConfig:
     num_scatterers: int = _key("model.num_scatterers", 1, rule=">= 1")
     svd_index: int = _key("model.svd_index", 0, rule=">= 0")
     # XL-MIMO scenario parameters
-    xl_scheme: str = _key("xl.scheme", "scheme1", sweep="scheme")
+    xl_scheme: str = _key("xl.scheme", "scheme1", sweep="scheme", choices=xlmimo.CLUSTER_SCHEMES)
     num_users: int = _key("xl.users", 10, sweep="num_users", rule=">= 1")
     clusters_per_user: int = _key("xl.clusters_per_user", 2, rule=">= 1")
     d1: float = _key("xl.d1", 35.0, sweep="d1", rule="> 0")
     d2: float = _key("xl.d2", 20.0, sweep="d2", rule="> 0")
-    xl_correlation: str = _key("xl.correlation", "uncorrelated", sweep="correlation")
-    precoder: str = _key("xl.precoder", "cb", sweep="precoder")
+    xl_correlation: str = _key("xl.correlation", "uncorrelated", sweep="correlation",
+                               choices=xlmimo.CLUSTER_CORRELATIONS)
+    precoder: str = _key("xl.precoder", "cb", sweep="precoder", choices=precoding.PRECODERS)
     total_power: float = _key("xl.total_power", 1.0, rule=">= 0")
-    power_convention: str = _key("power_convention", "amplitude")
+    power_convention: str = _key("power_convention", "amplitude",
+                                 choices=precoding.POWER_CONVENTIONS)
     p0: float = _key("xl.p0", 0.05, rule="in [0, 1]")
     p1: float = _key("xl.p1", 0.95, rule="in [0, 1]")
     c: float = _key("xl.c", 0.05, rule="in [0, 1]")
@@ -128,18 +131,18 @@ class ExperimentConfig:
     freeze_geometry: int = _key("xl.freeze_geometry", 0, rule="in [0, 1]")
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model '{self.model}'")
-        if self.metric not in METRICS:
-            raise ConfigError(f"unknown metric '{self.metric}'")
-        if MODELS[self.model].family != METRICS[self.metric].family:
-            raise ConfigError(
-                f"metric '{self.metric}' is not defined for model '{self.model}'")
         for f in dataclasses.fields(self):
             rule = f.metadata.get("rule")
             if rule and not _RULES[rule](getattr(self, f.name)):
                 raise ConfigError(
                     f"{f.metadata['key']} must be {rule}, got {getattr(self, f.name)}")
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise ConfigError(f"{f.metadata['key']} must be one of {', '.join(choices)}, "
+                                  f"got '{getattr(self, f.name)}'")
+        if MODELS[self.model].family != METRICS[self.metric].family:
+            raise ConfigError(
+                f"metric '{self.metric}' is not defined for model '{self.model}'")
         if self.r_max < self.r_min:
             raise ConfigError(f"xl.r_max must be >= xl.r_min = {self.r_min}, got {self.r_max}")
         # The planar builders integrate over a window of each spread; zero leaves none.
@@ -148,6 +151,14 @@ class ExperimentConfig:
                 key = self.__dataclass_fields__[name].metadata["key"]
                 raise ConfigError(f"{key} must be > 0 for model '{self.model}', "
                                   f"got {getattr(self, name)}")
+        # A planar model takes M = M_H * M_V once both are set, else a square array of m.
+        m = self.m
+        if self.model in _PLANAR_SPREADS and self.m_h > 0 and self.m_v > 0:
+            m = self.m_h * self.m_v
+        elif self.model in _PLANAR_SPREADS and int(round(np.sqrt(m))) ** 2 != m:
+            raise ConfigError(f"planar-array models need geometry.m_h/m_v or a square m, got m={m}")
+        if self.metric == "svd_spectrum" and self.svd_index >= m:
+            raise ConfigError(f"model.svd_index must be < M = {m}, got {self.svd_index}")
         if not xlmimo.sums_to_one(self.p0, self.p1):
             raise ConfigError(f"xl.p0 + xl.p1 must equal 1, got {self.p0 + self.p1}")
         if len(self.curves) > 3:
@@ -156,14 +167,6 @@ class ExperimentConfig:
         names = [s.param for s in (self.sweep,) + self.curves]
         if len(set(names)) < len(names):
             raise ConfigError(f"sweep and curve parameters must differ, got {', '.join(names)}")
-        if self.xl_scheme not in xlmimo.CLUSTER_SCHEMES:
-            raise ConfigError(f"unknown cluster scheme '{self.xl_scheme}'")
-        if self.xl_correlation not in xlmimo.CLUSTER_CORRELATIONS:
-            raise ConfigError(f"unknown XL correlation '{self.xl_correlation}'")
-        if self.precoder not in precoding.PRECODERS:
-            raise ConfigError(f"unknown precoder '{self.precoder}'")
-        if self.power_convention not in precoding.POWER_CONVENTIONS:
-            raise ConfigError(f"unknown power convention '{self.power_convention}'")
 
 
 # dotted document key -> ExperimentConfig field

@@ -8,10 +8,11 @@ angles with positive weights summing to 1, from :func:`onering_nodes` or
 a planar array takes the outer product of two.  The assembly A diag(w) A^H
 of steering vectors is Hermitian PSD by construction.  The quadrature ULA
 builders form that product directly; the UPA builder and the closed-form
-Gaussian ULA kernel take their sum once per index lag and gather the M x M
-matrix from the lag table.  The UPA builder raises one unit-lag phase per
-angle node to each horizontal lag by repeated products: N^2 exponentials
-plus M_H * N^2 complex products per build.
+Gaussian ULA kernel K take their sum once per index lag and gather the
+M x M matrix from the lag table (K through :func:`cbsm.toeplitz`, shadowed
+as D K D).  The UPA builder raises one unit-lag phase per angle node to
+each horizontal lag by repeated products: N^2 exponentials plus
+M_H * N^2 complex products per build.
 
 Each builder takes exactly the angles and gain its model reads, as keyword
 arguments.  All angles are radians.  Degree-valued user input is converted
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cbsm import shadow_power
+from .cbsm import shade, toeplitz
 from .errors import InvalidParam, QuadratureWarning, ValidityWarning
 
 DEFAULT_NODES = 201
@@ -223,8 +224,9 @@ def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.n
 
     Entry (m, n) is beta * 10^((f_m+f_n)/10) times the average over the S
     scatterers of the closed-form Gaussian kernel at each scatterer's
-    nominal angle; the scatterer angles take the place of phi.  With f = 0
-    and a single scatterer at phi this reduces to :func:`gaussian_ula_closed`.
+    nominal angle; the scatterer angles take the place of phi.  It is D K D
+    for that kernel K and D = diag(10^(f/10)).  With f = 0 and a single
+    scatterer at phi this reduces to :func:`gaussian_ula_closed`.
     M = len(f); ``geom`` supplies only the spacing.
     """
     _check_nonnegative(beta, sigma_phi=sigma_phi)
@@ -243,16 +245,7 @@ def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.n
         damp = np.exp(-(sigma_phi**2 / 2.0)
                       * (2.0 * np.pi * geom.d_h * diff * np.cos(phi_s)) ** 2)
         acc += phase * damp
-    acc = np.lib.stride_tricks.sliding_window_view(acc[::-1], f.size)[::-1]
-    # Without shadowing every entry of the M x M power is exactly 1; skip it.
-    if not np.any(f):
-        r = beta * acc
-    else:
-        shad = shadow_power(f, 10.0)
-        shad *= beta
-        r = shad * acc
-    r /= phis.size
-    return r
+    return shade(toeplitz(beta * acc[::-1] / phis.size), f, 10.0)   # toeplitz reads lag n - m
 
 
 def draw_scatterer_angles(s: int, rng: np.random.Generator) -> np.ndarray:

@@ -124,8 +124,8 @@ def test_exponential_lag_gather_matches_dense_grid():
         diff = k[None, :] - k[:, None]
         dense = np.asarray(rho ** np.abs(diff), dtype=float)
         assert np.array_equal(exponential_correlation(m, rho), dense)
-        shad = 10.0 ** ((f[:, None] + f[None, :]) / 20.0)
-        want = beta * (dense * np.exp(1j * diff * theta)) * shad
+        g = 10.0 ** (f / 20.0)   # D K D: rows, then columns
+        want = beta * (dense * np.exp(1j * diff * theta)) * g[:, None] * g
         assert np.array_equal(exponential_with_shadowing(f, rho, theta, beta), want)
 
 

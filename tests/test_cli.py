@@ -181,6 +181,12 @@ sweep.grid = 16
      "'num_users' expects integers", ()),
     (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "4,8")
      + "curve.param = m\ncurve.grid = 16\n", "parameters must differ, got m, m", ()),
+    (XL + "xl.scheme = scheme3\n", "xl.scheme", ()),
+    (XL + "xl.correlation = gaussian\n", "xl.correlation", ()),
+    (XL + "xl.precoder = mmse\n", "xl.precoder", ()),
+    (XL + "power_convention = energy\n", "power_convention", ()),
+    (XL + "curve.param = precoder\ncurve.grid = cb,mmse\n",
+     "{'d1': 35, 'precoder': 'mmse'}: xl.precoder", ()),
 ], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad", "seed", "seed_option",
         "users", "num_users_grid", "total_power", "m", "m_grid_zero", "d_h", "d_v",
         "clusters_per_user", "vr_antennas", "r_min", "r_max", "p0", "p0_p1_outside",
@@ -190,7 +196,8 @@ sweep.grid = 16
         "m_h", "upa_delta_zero", "upa_delta_theta_zero", "upa_sigma_phi_zero",
         "upa_sigma_theta_zero", "upa_delta_grid_zero", "upa_delta_theta_grid_zero",
         "upa_sigma_phi_grid_zero", "upa_sigma_theta_grid_zero", "freeze_geometry", "xl_rho",
-        "m_grid_fraction", "num_users_grid_fraction", "curve_repeats_sweep"])
+        "m_grid_fraction", "num_users_grid_fraction", "curve_repeats_sweep", "scheme",
+        "correlation", "precoder", "power_convention", "precoder_grid"])
 def test_invalid_value_exit_2(tmp_path, text, named, args):
     cfg = tmp_path / "c.txt"
     cfg.write_text(text)

@@ -176,6 +176,26 @@ def test_model_values_out_of_range_rejected(line):
         parse_config(MINIMAL + line + "\n")
 
 
+@pytest.mark.parametrize("model, lines, m", [
+    ("exponential", "geometry.m = 20\ngeometry.m_h = 4\ngeometry.m_v = 4\n", 20),
+    ("onering_upa", "geometry.m = 36\n", 36),
+    ("onering_upa", "geometry.m = 7\ngeometry.m_h = 4\ngeometry.m_v = 5\n", 20),
+], ids=["linear_ignores_m_h", "planar_square_m", "planar_m_h_m_v"])
+def test_svd_index_below_the_antenna_count(model, lines, m):
+    # a linear model reads geometry.m; a planar one M_H * M_V once both are set
+    text = MINIMAL.replace("exponential", model).replace("capacity_ub", "svd_spectrum") + lines
+    assert parse_config(text + f"model.svd_index = {m - 1}\n").svd_index == m - 1
+    with pytest.raises(ConfigError, match=f"model.svd_index must be < M = {m}"):
+        parse_config(text + f"model.svd_index = {m}\n")
+
+
+def test_planar_model_needs_a_square_m():
+    text = MINIMAL.replace("exponential", "gaussian_upa") + "geometry.m = 20\n"
+    with pytest.raises(ConfigError, match="square m, got m=20"):
+        parse_config(text)
+    assert parse_config(text + "geometry.m_h = 4\ngeometry.m_v = 5\n").m_h == 4
+
+
 def test_apply_point_string_value():
     cfg = ExperimentConfig(model="xl", metric="sinr",
                            sweep=SweepSpec("num_users", (5.0,)))

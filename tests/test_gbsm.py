@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chansim import gbsm
+from chansim.cbsm import exponential_with_shadowing
 from chansim.errors import InvalidParam, QuadratureWarning, ValidityWarning
 from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry,
                           draw_scatterer_angles, gaussian_ula_closed,
@@ -140,8 +141,8 @@ def dense_gaussian_shadowed(d_h, f, phis, sigma_phi, beta):
         damp = np.exp(-(sigma_phi**2 / 2.0)
                       * (2.0 * np.pi * d_h * diff * np.cos(phi_s)) ** 2)
         acc += phase * damp
-    shad = 10.0 ** ((f[:, None] + f[None, :]) / 10.0) if np.any(f) else 1.0
-    return beta * shad * acc / phis.size
+    g = 10.0 ** (f / 10.0)   # D K D: rows, then columns
+    return beta * acc / phis.size * g[:, None] * g
 
 
 def test_gaussian_shadowed_lag_row_matches_dense_grid():
@@ -153,6 +154,53 @@ def test_gaussian_shadowed_lag_row_matches_dense_grid():
         d_h, sigma, beta = (0.5, 1.0, 5.0)[case % 3], rng.uniform(0, 0.3), rng.uniform(0.5, 2)
         r = gaussian_ula_shadowed(UlaGeometry(m=1, d_h=d_h), f, phis, sigma_phi=sigma, beta=beta)
         assert np.array_equal(r, dense_gaussian_shadowed(d_h, f, phis, sigma, beta))
+
+
+def dense_exponential_phase(m, rho, theta, beta):
+    """beta * rho^|n-m| * exp(i (n-m) theta) on the full M x M grid."""
+    k = np.arange(m)
+    diff = k[None, :] - k[:, None]
+    return beta * (np.asarray(rho ** np.abs(diff), dtype=float) * np.exp(1j * diff * theta))
+
+
+# model -> (builder of (f, beta), unshadowed kernel of (M, beta), dB divisor)
+PHIS = np.array([0.4, 2.0])
+SHADOWED = {
+    "exponential_with_shadowing": (
+        lambda f, beta: exponential_with_shadowing(f, 0.7, 1.234, beta),
+        lambda m, beta: dense_exponential_phase(m, 0.7, 1.234, beta), 20.0),
+    "gaussian_ula_shadowed": (
+        lambda f, beta: gaussian_ula_shadowed(UlaGeometry(m=1), f, PHIS, sigma_phi=0.1,
+                                              beta=beta),
+        lambda m, beta: dense_gaussian_shadowed(0.5, np.zeros(m), PHIS, 0.1, beta), 10.0),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SHADOWED))
+def test_shadowed_builders_match_their_definition(model):
+    # R = beta K 10^((f_m+f_n)/db), with the float kernel beta K taken as
+    # exact and the shadow power in 30 digits.  f = 0 gives beta K bit for bit.
+    # Each f is a multiple of db / 2^16, so f / db is exact: its rounding
+    # would add ln(10) |f| / db half-ulps per gain in any form that takes f
+    # in dB, up to 2.8 eps per gain at 24 dB and db = 10.
+    build, kernel, db = SHADOWED[model]
+    rng = np.random.default_rng(20)
+    worst = 0.0
+    for m in (1, 2, 7, 24):
+        beta = rng.uniform(0.5, 2.0)
+        k = kernel(m, beta)
+        assert np.array_equal(build(np.zeros(m), beta), k)
+        top = (24 << 16) // int(db)   # |f| <= 24 dB
+        f = db * (rng.integers(-top, top, m, endpoint=True) / 2**16)
+        r = build(f, beta)
+        with mpmath.workdps(30):
+            for i in range(m):
+                for j in range(m):
+                    power = mpmath.power(10, (mpmath.mpf(f[i]) + mpmath.mpf(f[j])) / db)
+                    exact = mpmath.mpc(k[i, j].real, k[i, j].imag) * power
+                    err = abs(mpmath.mpc(r[i, j].real, r[i, j].imag) - exact) / abs(exact)
+                    worst = max(worst, float(err))
+    assert worst <= 4 * np.finfo(float).eps, worst / np.finfo(float).eps
 
 
 def test_gaussian_shadowed_capacity_gain():

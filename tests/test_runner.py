@@ -271,8 +271,25 @@ sweep.grid = 20
         run_experiment(parse_config(text))
 
 
-def test_bad_grid_value_fails_before_any_trial(monkeypatch, tmp_path, capsys):
+BAD_LAST_POINT = {
+    "sigma_shad": (SMALL.replace("exponential", "uncorrelated")
+                   .replace("param = rho", "param = sigma_shad").replace("0,0.5,1", "2,-1"),
+                   "sweep point {'sigma_shad': -1}", "model.sigma_shad"),
+    # a planar model without geometry.m_h/m_v needs a square m
+    "planar_m": (SMALL.replace("exponential", "onering_upa").replace("= 20", "= 16")
+                 .replace("param = rho", "param = m").replace("0,0.5,1", "16,50"),
+                 "sweep point {'m': 50}", "square m"),
+    "svd_index": (SMALL.replace("capacity_ub", "svd_spectrum\nmodel.svd_index = 30")
+                  .replace("= 20", "= 100").replace("param = rho", "param = m")
+                  .replace("0,0.5,1", "100,20"),
+                  "sweep point {'m': 20}", "model.svd_index"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LAST_POINT))
+def test_bad_grid_value_fails_before_any_trial(monkeypatch, tmp_path, capsys, case):
     # the bad value sits at the last point; no point may run before it is rejected
+    text, point, named = BAD_LAST_POINT[case]
     calls = []
     trial = runner.trial_value
 
@@ -282,12 +299,10 @@ def test_bad_grid_value_fails_before_any_trial(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(runner, "trial_value", counting)
     path = tmp_path / "c.txt"
-    path.write_text(SMALL.replace("exponential", "uncorrelated")
-                    .replace("param = rho", "param = sigma_shad")
-                    .replace("0,0.5,1", "2,-1"))
+    path.write_text(text)
     assert cli.main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "sweep point {'sigma_shad': -1}" in err and "model.sigma_shad" in err
+    assert point in err and named in err
     assert calls == []
 
 
@@ -296,7 +311,8 @@ def test_build_correlation_models():
     for model, entry in MODELS.items():
         if entry.build is None:
             continue
-        cfg = parse_config(SMALL.replace("exponential", model, 1))
+        # m = 16: a planar model needs a square m when geometry.m_h/m_v are unset
+        cfg = parse_config(SMALL.replace("exponential", model, 1).replace("= 20", "= 16"))
         cfg = dataclasses.replace(cfg, m=16, sigma_shad=2.0)
         r = build_correlation(cfg, rng)
         assert r.shape == (16, 16)
@@ -333,7 +349,7 @@ def test_freeze_geometry_scenario_draws(monkeypatch, freeze, draws_per_point):
 
 def test_build_correlation_upa_square_m():
     rng = np.random.default_rng(1)
-    cfg = parse_config(SMALL.replace("exponential", "onering_upa", 1))
+    cfg = parse_config(SMALL.replace("exponential", "onering_upa", 1).replace("= 20", "= 16"))
     cfg = dataclasses.replace(cfg, m=16, delta_deg=10.0, delta_theta_deg=5.0)
     r = build_correlation(cfg, rng)
     assert r.shape == (16, 16)
