@@ -131,7 +131,12 @@ class ExperimentConfig:
     freeze_geometry: int = _key("xl.freeze_geometry", 0, rule="in [0, 1]")
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
+        # A swept field is checked at its grid values, by apply_point, not at its base value.
+        self._check(skip={SWEEPABLE[s.param] for s in (self.sweep,) + self.curves})
+
+    def _check(self, skip=()):
+        """Raise ConfigError unless every field outside ``skip`` holds a valid value."""
+        for f in (f for f in dataclasses.fields(self) if f.name not in skip):
             rule = f.metadata.get("rule")
             if rule and not _RULES[rule](getattr(self, f.name)):
                 raise ConfigError(
@@ -147,7 +152,7 @@ class ExperimentConfig:
             raise ConfigError(f"xl.r_max must be >= xl.r_min = {self.r_min}, got {self.r_max}")
         # The planar builders integrate over a window of each spread; zero leaves none.
         for name in _PLANAR_SPREADS.get(self.model, ()):
-            if getattr(self, name) <= 0:
+            if name not in skip and getattr(self, name) <= 0:
                 key = self.__dataclass_fields__[name].metadata["key"]
                 raise ConfigError(f"{key} must be > 0 for model '{self.model}', "
                                   f"got {getattr(self, name)}")
@@ -155,9 +160,10 @@ class ExperimentConfig:
         m = self.m
         if self.model in _PLANAR_SPREADS and self.m_h > 0 and self.m_v > 0:
             m = self.m_h * self.m_v
-        elif self.model in _PLANAR_SPREADS and int(round(np.sqrt(m))) ** 2 != m:
+        elif (self.model in _PLANAR_SPREADS and "m" not in skip
+              and int(round(np.sqrt(m))) ** 2 != m):
             raise ConfigError(f"planar-array models need geometry.m_h/m_v or a square m, got m={m}")
-        if self.metric == "svd_spectrum" and self.svd_index >= m:
+        if self.metric == "svd_spectrum" and "m" not in skip and self.svd_index >= m:
             raise ConfigError(f"model.svd_index must be < M = {m}, got {self.svd_index}")
         if not xlmimo.sums_to_one(self.p0, self.p1):
             raise ConfigError(f"xl.p0 + xl.p1 must equal 1, got {self.p0 + self.p1}")
@@ -313,4 +319,6 @@ def apply_point(cfg: ExperimentConfig, assignment: dict) -> ExperimentConfig:
         if isinstance(current, int) and not isinstance(value, str):
             value = int(value)
         updates[fld] = value
-    return dataclasses.replace(cfg, **updates)
+    point = dataclasses.replace(cfg, **updates)
+    point._check()
+    return point

@@ -4,15 +4,15 @@ Spatial correlation matrices for one-ring (uniform) and Gaussian local
 scattering, over uniform linear (2-D) and uniform planar (3-D) arrays.
 Each GBSM is an angle measure plus an assembly.  The measure is a set of
 angles with positive weights summing to 1, from :func:`onering_nodes` or
-:func:`gaussian_nodes` on :func:`sized_quadrature` Gauss-Legendre nodes;
-a planar array takes the outer product of two.  The assembly A diag(w) A^H
-of steering vectors is Hermitian PSD by construction.  The quadrature ULA
-builders form that product directly; the UPA builder and the closed-form
-Gaussian ULA kernel K take their sum once per index lag and gather the
-M x M matrix from the lag table (K through :func:`cbsm.toeplitz`, shadowed
-as D K D).  The UPA builder raises one unit-lag phase per angle node to
-each horizontal lag by repeated products: N^2 exponentials plus
-M_H * N^2 complex products per build.
+:func:`gaussian_nodes` on :func:`sized_quadrature` Gauss-Legendre nodes,
+about twice the window's need; a planar array takes the outer product of
+two.  The assembly A diag(w) A^H of steering vectors is Hermitian PSD by
+construction.  The quadrature ULA builders form that product directly; the
+UPA builder and the closed-form Gaussian ULA kernel K take their sum once
+per index lag and gather the M x M matrix from the lag table (K through
+:func:`cbsm.toeplitz`, shadowed as D K D).  The UPA builder raises one
+unit-lag phase per angle node to each horizontal lag by repeated products:
+N^2 exponentials plus M_H * N^2 complex products per build.
 
 Each builder takes exactly the angles and gain its model reads, as keyword
 arguments.  All angles are radians.  Degree-valued user input is converted
@@ -111,9 +111,11 @@ def _nodes_needed(spread: float, d: float, m: int) -> float:
 
 
 def sized_quadrature(spread: float, d: float, m: int) -> QuadratureConfig:
-    """Nodes for a window of half-width ``spread`` on ``m`` antennas ``d`` apart, capped."""
-    needed = int(np.ceil(_nodes_needed(spread, d, m))) + 1
-    return QuadratureConfig(nodes_per_dim=min(max(DEFAULT_NODES, needed), MAX_QUAD_NODES))
+    """Need + 1 nodes for half-width ``spread`` on ``m`` antennas ``d`` apart, floored, capped."""
+    need = _nodes_needed(spread, d, m)
+    # 2 * need + 32, up to a multiple of 32 (few counts keep _leggauss cached); <= DEFAULT_NODES.
+    floor = min(DEFAULT_NODES, 32 * int(np.ceil((2 * need + 32) / 32)))
+    return QuadratureConfig(nodes_per_dim=min(max(floor, int(np.ceil(need)) + 1), MAX_QUAD_NODES))
 
 
 def _warn_if_coarse(nodes: int, spread: float, d_h: float, m: int):

@@ -172,8 +172,9 @@ def test_fractional_grid_of_integer_param_rejected(param, grid):
 @pytest.mark.parametrize("line", ["model.rho = -0.1", "geometry.m_v = -1",
                                   "model.svd_index = -1"])
 def test_model_values_out_of_range_rejected(line):
+    # beta is swept, so each line sets a field whose base value is used
     with pytest.raises(ConfigError, match=line.split(" = ")[0]):
-        parse_config(MINIMAL + line + "\n")
+        parse_config(MINIMAL.replace("param = rho", "param = beta") + line + "\n")
 
 
 @pytest.mark.parametrize("model, lines, m", [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chansim import gbsm
 from chansim.cbsm import exponential_with_shadowing
+from chansim.config import apply_point
 from chansim.errors import InvalidParam, QuadratureWarning, ValidityWarning
 from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry,
                           draw_scatterer_angles, gaussian_ula_closed,
@@ -15,6 +16,9 @@ from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry,
                           gaussian_upa, onering_ula, onering_upa,
                           upa_antenna_index)
 from chansim.linalg import log2_det_ipm, one_blas_thread, psd_eigvals
+from chansim.metrics import capacity_ub
+from chansim.presets import preset
+from chansim.runner import trial_value
 
 
 def trapz_onering_entry(diff, phi, delta, d_h, n=1_000_001):
@@ -514,8 +518,10 @@ def test_sized_quadrature_floor_growth_and_cap():
     def nodes(spread, d, m):
         return gbsm.sized_quadrature(spread, d, m).nodes_per_dim
 
-    assert nodes(0.0, 0.5, 100) == nodes(0.1, 0.5, 100) == gbsm.DEFAULT_NODES == 201
-    assert nodes(0.5, 1.0, 100) == 201          # 4 * 0.5 * 1 * 100 = 200 nodes needed
+    # below a need of 80 the floor is 2 * need + 32, rounded up to a multiple of 32
+    assert nodes(0.0, 0.5, 100) == 32
+    assert nodes(0.1, 0.5, 100) == 96           # 4 * 0.1 * 0.5 * 100 = 20 nodes needed
+    assert nodes(0.5, 1.0, 100) == gbsm.DEFAULT_NODES == 201   # 200 nodes needed
     assert nodes(0.5, 5.0, 100) == 1001
     assert nodes(0.50001, 5.0, 100) == 1002
     assert nodes(1.0, 10.0, 100) == 4001
@@ -524,6 +530,47 @@ def test_sized_quadrature_floor_growth_and_cap():
     grown = [nodes(0.25, d, 100) for d in np.arange(1.0, 45.0, 0.5)]
     assert grown[:3] == [201, 201, 201] and grown[3:6] == [251, 301, 351]
     assert grown[-10:] == [4001] * 10 and set(np.diff(grown)) == {0, 50}
+
+
+def test_sized_quadrature_never_exceeds_the_201_floor_rule():
+    for spread in np.radians([0.0, 0.5, 2.0, 5.0, 10.0, 15.0, 30.0, 60.0, 90.0]):
+        for d in (0.05, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0):
+            for m in (1, 2, 5, 10, 16, 20, 60, 100, 220, 380):
+                need = gbsm._nodes_needed(spread, d, m)
+                old = min(max(201, int(np.ceil(need)) + 1), gbsm.MAX_QUAD_NODES)
+                n = gbsm.sized_quadrature(spread, d, m).nodes_per_dim
+                assert min(2 * need, old) <= n <= old
+                assert n == old or (n % 32 == 0 and need <= 80)
+
+
+# (build at a node count, window half-width, spacing, antennas per axis), each at a need
+# below 80, so that the sized count is under 201
+CONVERGENCE_POINTS = {
+    "onering-ula": (lambda q: onering_ula(UlaGeometry(m=100), phi=0.5,
+                                          delta_phi=np.radians(10.0), quad=q),
+                    np.radians(10.0), 0.5, 100),
+    "gaussian-ula": (lambda q: gaussian_ula_numeric(UlaGeometry(m=60, d_h=0.8), phi=1.2,
+                                                    sigma_phi=np.radians(2.0), quad=q),
+                     6 * np.radians(2.0), 0.8, 60),
+    "onering-upa": (lambda q: onering_upa(UpaGeometry(10, 10), phi=0.0, theta=0.3,
+                                          delta_phi=np.radians(30.0),
+                                          delta_theta=np.radians(15.0), quad=q),
+                    np.radians(30.0), 0.5, 10),
+    "gaussian-upa": (lambda q: gaussian_upa(UpaGeometry(10, 10), phi=np.pi / 2, theta=0.0,
+                                            sigma_phi=np.radians(10.0),
+                                            sigma_theta=np.radians(5.0), quad=q),
+                     6 * np.radians(10.0), 0.5, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVERGENCE_POINTS))
+def test_sized_count_converges_below_201_nodes(case):
+    build, spread, d, m = CONVERGENCE_POINTS[case]
+    n = gbsm.sized_quadrature(spread, d, m).nodes_per_dim
+    assert n < gbsm.DEFAULT_NODES
+    r, ref = build(QuadratureConfig(n)), build(QuadratureConfig(3 * n + 1))
+    assert np.abs(r - ref).max() <= 1e-12       # beta = 1
+    assert capacity_ub(r, 1e6) == pytest.approx(capacity_ub(ref, 1e6), rel=1e-10, abs=0)
 
 
 D_H_GRID = np.arange(0.0, 10.01, 0.5)   # the d_H sweep of fig10d and fig12d
@@ -553,6 +600,20 @@ def test_sized_builders_warn_exactly_when_the_cap_binds(monkeypatch, build, spre
     # fig12d at sigma = 15 deg needs 628 d_H nodes: capped from d_H = 6.5 on
     expected = list(D_H_GRID >= 6.5) if spread_deg == 15.0 else [False] * D_H_GRID.size
     assert capped == expected
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the 4001-node cap binds and the "
+                                       "Gauss-Legendre sum aliases")
+@pytest.mark.parametrize("d_h", [8.5, 10.0])
+def test_fig12d_capped_rows_reach_the_uncorrelated_limit(d_h):
+    # sigma_phi = 15 deg, phi = 0, M = 100: a 2e6-point trapezoid puts every off-diagonal
+    # entry below 1.4e-8, so C_ub is the uncorrelated limit at eta = 10^6
+    cfg = apply_point(preset("fig12d"), {"d_h": d_h, "sigma_phi": 15.0})
+    assert (cfg.m, cfg.phi_deg, cfg.snr_db) == (100, 0.0, 60.0)
+    with pytest.warns(QuadratureWarning):
+        value = trial_value(cfg, np.random.default_rng(0))
+    assert value == pytest.approx(100 * np.log2(1 + 1e4), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("n", [101, 201, 399])

@@ -111,3 +111,22 @@ def test_preset_bytes_compare_lists_changed_cells(tmp_path):
     same = subprocess.run([sys.executable, str(FIXTURES / "preset_bytes.py"), "--compare",
                            str(before), str(before)], capture_output=True, text=True)
     assert (same.returncode, same.stdout) == (0, "0 of 4 files differ\n")
+
+
+def test_preset_times_scales_a_full_grid_run_to_the_trial_count():
+    proc = subprocess.run([sys.executable, str(FIXTURES / "preset_times.py"), "vr_hist", "fig9b"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["max_trials"] == 2 and list(report["presets"]) == ["vr_hist", "fig9b"]
+    vr, fig9b = report["presets"]["vr_hist"], report["presets"]["fig9b"]
+    assert (vr["points"], vr["trials"], vr["timed_trials"]) == (1, 10000, 2)
+    assert (fig9b["points"], fig9b["trials"], fig9b["timed_trials"]) == (3, 1, 1)
+    for timing in (vr, fig9b):
+        scaled = timing["seconds"] * timing["trials"] / timing["timed_trials"]
+        assert timing["estimated_s"] == pytest.approx(scaled, rel=1e-3, abs=5e-3)
+    assert report["total_estimated_s"] == pytest.approx(
+        vr["estimated_s"] + fig9b["estimated_s"], abs=1e-3)
+    bad = subprocess.run([sys.executable, str(FIXTURES / "preset_times.py"), "fig99"],
+                         capture_output=True, text=True)
+    assert bad.returncode == 1 and "unknown preset(s): fig99" in bad.stderr

@@ -14,7 +14,7 @@ from chansim.errors import IoError, RankDeficient
 from chansim.gbsm import UlaGeometry, gaussian_ula_closed
 from chansim.presets import preset
 from chansim.registry import METRICS, MODELS, build_correlation
-from chansim.runner import RunResult, emit_csv, run_experiment, trial_value
+from chansim.runner import RunResult, emit_csv, format_csv, run_experiment, trial_value
 from chansim.metrics import capacity_ub, db_to_linear
 
 SMALL = """
@@ -304,6 +304,33 @@ def test_bad_grid_value_fails_before_any_trial(monkeypatch, tmp_path, capsys, ca
     err = capsys.readouterr().err
     assert point in err and named in err
     assert calls == []
+
+
+# A base value that no sweep point uses, beside the same config with a valid base value.
+UNUSED_BASE_VALUE = {
+    "rho": (SMALL.replace("0,0.5,1", "0,0.5") + "model.rho = 3\n",
+            SMALL.replace("0,0.5,1", "0,0.5")),
+    "planar_m": (SMALL.replace("exponential", "onering_upa").replace("= 20", "= 10")
+                 .replace("param = rho", "param = m").replace("0,0.5,1", "16,64"),
+                 SMALL.replace("exponential", "onering_upa").replace("= 20", "= 16")
+                 .replace("param = rho", "param = m").replace("0,0.5,1", "16,64")),
+    "svd_index": (SMALL.replace("capacity_ub", "svd_spectrum\nmodel.svd_index = 30")
+                  .replace("param = rho", "param = m").replace("0,0.5,1", "40,64"),
+                  SMALL.replace("capacity_ub", "svd_spectrum\nmodel.svd_index = 30")
+                  .replace("= 20", "= 40").replace("param = rho", "param = m")
+                  .replace("0,0.5,1", "40,64")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSED_BASE_VALUE))
+def test_swept_field_is_checked_only_at_its_grid_values(tmp_path, case):
+    text, valid = UNUSED_BASE_VALUE[case]
+    path, out = tmp_path / "c.txt", tmp_path / "o.csv"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == format_csv(run_experiment(parse_config(valid)))
+    manifest = (tmp_path / "o.csv.manifest").read_text(encoding="utf-8")
+    assert parse_config(manifest) == parse_config(text)
 
 
 def test_build_correlation_models():
