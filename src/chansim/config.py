@@ -10,6 +10,7 @@ boundary and converted to radians inside the runner.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -310,15 +311,17 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def apply_point(cfg: ExperimentConfig, assignment: dict) -> ExperimentConfig:
-    """Return a copy of cfg with sweep/curve parameter values substituted."""
-    updates = {}
+    """Return a copy of cfg with sweep/curve parameter values substituted, checked once.
+
+    The copy skips ``__post_init__``: its check leaves out the swept fields,
+    and every other field already passed it on ``cfg``.
+    """
+    point = copy.copy(cfg)
     for param, value in assignment.items():
         fld = SWEEPABLE[param]
-        current = getattr(cfg, fld)
         # SweepSpec admits only whole numbers for an integer field.
-        if isinstance(current, int) and not isinstance(value, str):
+        if isinstance(getattr(cfg, fld), int) and not isinstance(value, str):
             value = int(value)
-        updates[fld] = value
-    point = dataclasses.replace(cfg, **updates)
+        object.__setattr__(point, fld, value)
     point._check()
     return point

@@ -7,12 +7,13 @@ angles with positive weights summing to 1, from :func:`onering_nodes` or
 :func:`gaussian_nodes` on :func:`sized_quadrature` Gauss-Legendre nodes,
 about twice the window's need; a planar array takes the outer product of
 two.  The assembly A diag(w) A^H of steering vectors is Hermitian PSD by
-construction.  The quadrature ULA builders form that product directly; the
-UPA builder and the closed-form Gaussian ULA kernel K take their sum once
-per index lag and gather the M x M matrix from the lag table (K through
-:func:`cbsm.toeplitz`, shadowed as D K D).  The UPA builder raises one
-unit-lag phase per angle node to each horizontal lag by repeated products:
-N^2 exponentials plus M_H * N^2 complex products per build.
+construction.  Every builder takes its sum once per index lag and gathers
+the M x M matrix from the lag table: the ULA builders through
+:func:`cbsm.toeplitz`, the closed-form Gaussian kernel K shadowed as D K D.
+A quadrature ULA lag row takes one exponential per lag and node, M * N
+exponentials and one gemv per build.  The UPA builder raises one unit-lag
+phase per angle node to each horizontal lag by repeated products: N^2
+exponentials plus M_H * N^2 complex products per build.
 
 Each builder takes exactly the angles and gain its model reads, as keyword
 arguments.  All angles are radians.  Degree-valued user input is converted
@@ -34,8 +35,6 @@ DEFAULT_NODES = 201
 MAX_QUAD_NODES = 4001   # the cap of sized_quadrature
 # Elevation columns per block of the planar lag-table sum.
 _EL_BLOCK = 32
-# At most this many rows per panel of the ULA product A diag(w) A^H.
-_ROW_PANEL = 64
 # Gaussian scattering integrals are truncated at +/- this many sigmas.
 GAUSSIAN_TRUNCATION = 6.0
 
@@ -155,26 +154,22 @@ def _ula_from_angles(geom: UlaGeometry, angles: np.ndarray, weights: np.ndarray,
                      beta: float) -> np.ndarray:
     """Assemble beta * sum_j w_j a(angle_j) a(angle_j)^H with sum(w) == 1.
 
-    The M x N steering matrix, held as conj(A), is the only full-size
-    temporary: its transpose is A^H, and A diag(w) A^H is taken in even row
-    panels of at most ``_ROW_PANEL`` rows.  Each panel equals its rows of
-    the one-piece product bit for bit; a last panel of one row would not
-    (gemv sums differ from gemm's; README, decisions ledger).
+    Entry (m, n) depends only on the index lag k = m - n, so the sum is
+    taken once per lag k = 0..M-1 as row[k] = sum_j w_j exp(2 pi i d_H k
+    sin(angle_j)), with one exponential per lag and node and one gemv.  R
+    is gathered from row through :func:`cbsm.toeplitz`, with lag -k read
+    as conj(row[k]).  That is the same sum A diag(w) A^H, so R stays PSD
+    by construction, and it is exactly Hermitian and centrohermitian.
     """
-    m = np.arange(geom.m)
-    a = 2j * np.pi * geom.d_h * m[:, None] * np.sin(angles)[None, :]
+    k = np.arange(geom.m)
+    a = 2j * np.pi * geom.d_h * k[:, None] * np.sin(angles)[None, :]
     np.exp(a, out=a)
-    np.conjugate(a, out=a)
-    r = np.empty((geom.m, geom.m), dtype=complex)
-    panels = -(-geom.m // _ROW_PANEL)
-    edges = [geom.m * k // panels for k in range(panels + 1)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panel = np.conjugate(a[lo:hi])
-        panel *= weights
-        np.matmul(panel, a.T, out=r[lo:hi])
-    np.fill_diagonal(r, 1.0)
-    r *= beta
-    return r
+    row = a @ weights
+    del a   # so that the M x N phases and the M x M output are not held at once
+    row[0] = 1.0
+    row *= beta
+    # toeplitz reads lag n - m = -k at (m, n), from n - m = -(M-1) up to M-1.
+    return np.array(toeplitz(np.concatenate((row[:0:-1], row.conj()))))
 
 
 def onering_ula(geom: UlaGeometry, *, phi: float, delta_phi: float, beta: float = 1.0,

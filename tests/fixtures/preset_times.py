@@ -1,20 +1,28 @@
 """Estimate each preset's wall time on its full grid, and print one JSON object.
 
-Each preset NAME runs every point of its full grid at min(trials, 2)
-trials and ``workers = 1``, and its wall time is scaled by
-trials / min(trials, 2) to the preset's own trial count.  The presets run
-one after another in one process, in the order given (default: every
-preset, sorted), so a later preset may find a Gauss-Legendre rule already
-cached.  A one-point sweep runs first, untimed, so that no preset pays
-the process's one-time set-up (about 15 ms), which the scaling would
-multiply.  Per-point costs are scaled with the trials, so a preset of
-many cheap trials reads high.  Run from the repository root:
+Each preset NAME runs every point of its full grid at two trial counts,
+min(trials, 1) and min(trials, 8), with ``workers = 1``.  The difference
+of the two times gives the per-trial slope; the rest of the low count's
+time is the fixed per-point cost, which is not scaled.  The estimate is
+the low count's time plus the slope times the trials left:
+
+    estimated_s = seconds[0] + per_trial_s * (trials - timed_trials[0])
+
+A preset of one trial runs once, and its time is the estimate.  A preset
+of more trials first runs once at the low count, untimed, so that the
+slope does not take in the preset's first-call costs (a Gauss-Legendre
+rule, imports).  The presets run one after another in one process, in
+the order given (default: every preset, sorted), so a later preset may
+find a rule already cached.  A one-point sweep runs first, untimed, so
+that no preset pays the process's one-time set-up (about 15 ms).  Run
+from the repository root:
 
     PYTHONPATH=src python3 tests/fixtures/preset_times.py [PRESET ...]
 
-The object holds, per preset, its grid points, its trial count, the
-trials timed, the seconds measured and the estimate; then the total
-estimate and the numpy version and core count.
+The object holds, per preset, its grid points, its trial count, the two
+trial counts timed, the seconds measured at each, the per-trial slope
+and the estimate; then the total estimate and the numpy version and
+core count.
 """
 
 import dataclasses
@@ -29,18 +37,29 @@ from chansim.config import ExperimentConfig, SweepSpec
 from chansim.presets import preset, preset_names
 from chansim.runner import run_experiment
 
-MAX_TRIALS = 2
+TRIAL_COUNTS = (1, 8)
+
+
+def _timed_run(cfg, trials: int):
+    start = time.perf_counter()
+    result = run_experiment(dataclasses.replace(cfg, trials=trials, workers=1))
+    return time.perf_counter() - start, len(result.rows)
 
 
 def time_preset(name: str) -> dict:
-    """Run the preset's full grid at no more than ``MAX_TRIALS`` trials and time it."""
+    """Run the preset's full grid at both ``TRIAL_COUNTS`` (capped at its trials) and time it."""
     cfg = preset(name)
-    timed = min(cfg.trials, MAX_TRIALS)
-    start = time.perf_counter()
-    result = run_experiment(dataclasses.replace(cfg, trials=timed, workers=1))
-    seconds = time.perf_counter() - start
-    return {"points": len(result.rows), "trials": cfg.trials, "timed_trials": timed,
-            "seconds": round(seconds, 6), "estimated_s": round(seconds * cfg.trials / timed, 3)}
+    lo, hi = (min(cfg.trials, n) for n in TRIAL_COUNTS)
+    if hi > lo:
+        _timed_run(cfg, lo)
+    first, points = _timed_run(cfg, lo)
+    second = _timed_run(cfg, hi)[0] if hi > lo else first
+    seconds = [round(first, 6), round(second, 6)]
+    # Timing noise can make the high count read faster; a slope is never negative.
+    slope = max(seconds[1] - seconds[0], 0.0) / (hi - lo) if hi > lo else 0.0
+    return {"points": points, "trials": cfg.trials, "timed_trials": [lo, hi],
+            "seconds": seconds, "per_trial_s": slope,
+            "estimated_s": round(seconds[0] + slope * (cfg.trials - lo), 3)}
 
 
 def main(names) -> dict:
@@ -50,7 +69,7 @@ def main(names) -> dict:
     run_experiment(ExperimentConfig(model="exponential", metric="capacity_ub", m=2, trials=1,
                                     sweep=SweepSpec("rho", (0.5,))))
     presets = {name: time_preset(name) for name in names or sorted(preset_names())}
-    return {"max_trials": MAX_TRIALS, "presets": presets,
+    return {"trial_counts": list(TRIAL_COUNTS), "presets": presets,
             "total_estimated_s": round(sum(p["estimated_s"] for p in presets.values()), 3),
             "numpy": np.__version__, "cores": os.cpu_count()}
 

@@ -15,7 +15,7 @@ from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry,
                           gaussian_ula_numeric, gaussian_ula_shadowed,
                           gaussian_upa, onering_ula, onering_upa,
                           upa_antenna_index)
-from chansim.linalg import log2_det_ipm, one_blas_thread, psd_eigvals
+from chansim.linalg import log2_det_ipm, psd_eigvals
 from chansim.metrics import capacity_ub
 from chansim.presets import preset
 from chansim.runner import trial_value
@@ -619,11 +619,29 @@ def test_fig12d_capped_rows_reach_the_uncorrelated_limit(d_h):
 @pytest.mark.parametrize("n", [101, 201, 399])
 @pytest.mark.parametrize("m", [1, 20, 64, 65, 100, 380])
 def test_panelled_ula_assembly_is_the_one_piece_product(m, n):
-    # Below, at and just above one panel of gbsm._ROW_PANEL rows.
+    # The lag-row build against the dense product A diag(w) A^H on M = 1..380.
     angles, w = gbsm.onering_nodes(0.3, 0.2, QuadratureConfig(n))
     a = np.exp(2j * np.pi * 0.5 * np.arange(m)[:, None] * np.sin(angles)[None, :])
-    with one_blas_thread():
-        want = (a * w) @ a.conj().T
-        np.fill_diagonal(want, 1.0)
-        got = gbsm._ula_from_angles(UlaGeometry(m=m), angles, w, 1.7)
-    assert got.tobytes() == (1.7 * want).tobytes()
+    want = (a * w) @ a.conj().T
+    np.fill_diagonal(want, 1.0)
+    got = gbsm._ula_from_angles(UlaGeometry(m=m), angles, w, 1.7)
+    assert np.abs(got - 1.7 * want).max() <= 1e-13 * 1.7
+    assert np.array_equal(got, got.conj().T)
+    # Constant diagonals: each entry equals its neighbour one row and one column on.
+    assert np.array_equal(got[1:, 1:], got[:-1, :-1])
+    assert got.flags.writeable and got.flags.c_contiguous
+
+
+def test_ula_long_lag_entry_matches_extended_precision():
+    # M = 380, d_H = 10: the lag-379 phase is about 2 pi * 10 * 379 * sin(0.3) rad.
+    m, d_h = 380, 10.0
+    angles, w = gbsm.onering_nodes(0.3, 0.2, QuadratureConfig(101))
+    r = gbsm._ula_from_angles(UlaGeometry(m=m, d_h=d_h), angles, w, 1.0)
+    with mpmath.workdps(30):
+        # a_379 conj(a_0) = exp(2 pi i d_H 379 sin(angle)); the float64 nodes are taken as exact.
+        lag = 2 * mpmath.mpf(d_h) * (m - 1)
+        exact = complex(mpmath.fsum(mpmath.mpf(wj) * mpmath.expjpi(lag * mpmath.sin(mpmath.mpf(t)))
+                                    for t, wj in zip(angles, w)))
+    # Measured: 9.3e-14, the same as the dense product's; both inherit the phase rounding.
+    assert abs(r[m - 1, 0] - exact) <= 3e-13
+    assert r[0, m - 1] == r[m - 1, 0].conjugate()

@@ -118,13 +118,19 @@ def test_preset_times_scales_a_full_grid_run_to_the_trial_count():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["max_trials"] == 2 and list(report["presets"]) == ["vr_hist", "fig9b"]
+    assert report["trial_counts"] == [1, 8] and list(report["presets"]) == ["vr_hist", "fig9b"]
     vr, fig9b = report["presets"]["vr_hist"], report["presets"]["fig9b"]
-    assert (vr["points"], vr["trials"], vr["timed_trials"]) == (1, 10000, 2)
-    assert (fig9b["points"], fig9b["trials"], fig9b["timed_trials"]) == (3, 1, 1)
-    for timing in (vr, fig9b):
-        scaled = timing["seconds"] * timing["trials"] / timing["timed_trials"]
-        assert timing["estimated_s"] == pytest.approx(scaled, rel=1e-3, abs=5e-3)
+    assert (vr["points"], vr["trials"], vr["timed_trials"]) == (1, 10000, [1, 8])
+    assert (fig9b["points"], fig9b["trials"], fig9b["timed_trials"]) == (3, 1, [1, 1])
+    # A per-trial slope from the two counts, plus the low count's time once.
+    (lo, hi), (s_lo, s_hi) = vr["timed_trials"], vr["seconds"]
+    assert vr["per_trial_s"] == pytest.approx(max(s_hi - s_lo, 0.0) / (hi - lo), rel=1e-3,
+                                              abs=1e-8)
+    assert vr["estimated_s"] == pytest.approx(s_lo + vr["per_trial_s"] * (10000 - lo),
+                                              rel=1e-3, abs=5e-3)
+    # One trial runs once: no slope, and its time is the estimate.
+    assert fig9b["seconds"][0] == fig9b["seconds"][1] and fig9b["per_trial_s"] == 0.0
+    assert fig9b["estimated_s"] == pytest.approx(fig9b["seconds"][0], abs=5e-4)
     assert report["total_estimated_s"] == pytest.approx(
         vr["estimated_s"] + fig9b["estimated_s"], abs=1e-3)
     bad = subprocess.run([sys.executable, str(FIXTURES / "preset_times.py"), "fig99"],
