@@ -4,8 +4,12 @@ PSD eigenvalues and matrix square roots, condition numbers,
 log-determinants by a PSD-guarded Cholesky factorization (with the
 eigenvalue path as its fallback) and correlated complex Gaussian sampling.
 Every routine takes and returns plain numpy arrays or floats, and factors a
-centrohermitian matrix (every Hermitian Toeplitz one), or one that is E S E^H
-for a real S and a diagonal unitary E, in real arithmetic.
+real symmetric matrix as it is, and a centrohermitian one (every Hermitian
+Toeplitz one) or one that is E S E^H for a real S and a diagonal unitary E
+in real arithmetic.  The log-det's Cholesky factorizations run in place
+through the LAPACK that numpy loaded, banded where the real form is zero
+beyond a band, and through ``np.linalg.cholesky`` where that LAPACK is not
+found.
 All correlation-matrix consumers in the package go through these routines
 so that the Hermitian check and the PSD clipping policy live in one place.
 :func:`one_blas_thread` and :func:`flush_subnormals` set a sweep point's FP state.
@@ -36,13 +40,19 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 @lru_cache(maxsize=1)
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+def _numpy_lapack_lib():
+    """numpy's LAPACK extension as a ctypes library, or None."""
     try:
         # dlsym on numpy's LAPACK extension also searches the libraries it links.
-        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    lib = _numpy_lapack_lib()
     for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
         if hasattr(lib, get_name) and hasattr(lib, set_name):
             get, set_ = getattr(lib, get_name), getattr(lib, set_name)
@@ -110,10 +120,15 @@ def flush_subnormals():
         set_(saved)
 
 
-def _check_finite(a: np.ndarray) -> np.ndarray:
+def _check_matrix(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidMatrix(f"expected a 2-D matrix, got shape {a.shape}")
+    return a
+
+
+def _check_finite(a: np.ndarray) -> np.ndarray:
+    a = _check_matrix(a)
     # A view for C- or Fortran-ordered a, else a copy: a.view(float) needs a contiguous
     # last axis, and the float view tests twice as fast as the complex array.
     flat = a.ravel(order="K")
@@ -136,10 +151,13 @@ def _conj_residual(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _hermitian_and_scale(a: np.ndarray) -> tuple[np.ndarray, float]:
-    a = _check_finite(a)
+    a = _check_matrix(a)
+    scale = np.abs(a).max()
+    if not np.isfinite(scale):
+        # NaN or Inf entries raise; finite ones whose moduli overflow pass, as before.
+        _check_finite(a)
     if a.shape[0] != a.shape[1]:
         raise InvalidMatrix("Hermitian matrix must be square")
-    scale = np.abs(a).max()
     if scale > 0:
         resid = _conj_residual(a, a.T)
         if resid > HERMITIAN_RTOL * scale:
@@ -184,7 +202,12 @@ def _similar_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _factor_form(a: np.ndarray) -> np.ndarray:
-    """The matrix of :func:`_similar_form`: real symmetric where it can be, else ``a``."""
+    """The matrix of :func:`_similar_form`: real symmetric where it can be, else ``a``.
+
+    A real symmetric ``a`` is its own real form: it skips the similarity tests and copies.
+    """
+    if not np.iscomplexobj(a):
+        return _hermitian_and_scale(a)[0]
     return _similar_form(a)[0]
 
 
@@ -252,11 +275,81 @@ def condition_number(a: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _shifted_cholesky(a: np.ndarray, scale: float, shift: float) -> np.ndarray:
-    """Lower Cholesky factor of scale * a + shift * I; raises LinAlgError unless positive definite."""
-    s = a * scale
-    s.flat[::s.shape[0] + 1] += shift
-    return np.linalg.cholesky(s)
+# numpy's ILP64 LAPACK (the scipy-openblas wheel): dense real and complex, and banded real
+# Cholesky factorizations.
+_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_zpotrf_64_", "scipy_dpbtrf_64_")
+# The band path is taken for a lower bandwidth kd <= M/2 - _BAND_MARGIN: below that
+# margin its gather and call overheads outweigh the saving (README, decisions ledger).
+_BAND_MARGIN = 16
+
+
+@lru_cache(maxsize=1)
+def _lapack():
+    """numpy's (dpotrf, zpotrf, dpbtrf) as ctypes functions taking 64-bit integers, or None."""
+    lib = _numpy_lapack_lib()
+    if not all(hasattr(lib, name) for name in _LAPACK_SYMBOLS):
+        return None
+    fns = tuple(getattr(lib, name) for name in _LAPACK_SYMBOLS)
+    ints = ctypes.POINTER(ctypes.c_int64)
+    # (uplo, n, [kd,] a, lda, info) and gfortran's hidden length of uplo.
+    for fn, n_ints in zip(fns, (1, 1, 2)):
+        fn.argtypes = [ctypes.c_char_p, *[ints] * n_ints, ctypes.c_void_p, ints, ints,
+                       ctypes.c_size_t]
+        fn.restype = None
+    return fns
+
+
+def _lower_bandwidth(a: np.ndarray) -> int:
+    """max(i - j) over the nonzero a[i, j], j <= i, for a square ``a``: M - 1 unless a[M-1, 0] == 0."""
+    m = a.shape[0]
+    if a[-1, 0] != 0:
+        return m - 1
+    first = np.argmax(a != 0, axis=1)   # 0 for a zero row, which overstates its band
+    return int((np.arange(m) - first).max())
+
+
+def _lower_band(a: np.ndarray, kd: int) -> np.ndarray:
+    """a's lower band as an (M, kd + 1) array: row j holds a[j:j + kd + 1, j], LAPACK's 'L' band.
+
+    One gather of a C-ordered ``a``; past the last row it reads a[M-1, M-1], which LAPACK ignores.
+    """
+    m = a.shape[0]
+    index = np.arange(m)[:, None] * (m + 1) + np.arange(kd + 1) * m
+    return np.take(np.ascontiguousarray(a), index, mode="clip")
+
+
+def _cholesky_diagonal(a: np.ndarray, scale: float, shift: float,
+                       kd: int | None = None) -> np.ndarray | None:
+    """Diagonal of L, L L^H = scale * A + shift * I, or None unless that is positive definite.
+
+    ``a`` is A, or with ``kd`` its lower band (:func:`_lower_band`).  L is computed as
+    ``np.linalg.cholesky`` computes it, by LAPACK's lower ?potrf (?pbtrf for a band) on a
+    Fortran-ordered copy, but in one work array: numpy adds its own copies and passes.
+    Without numpy's ILP64 LAPACK (:func:`_lapack`) it calls ``np.linalg.cholesky``.
+    """
+    m = a.shape[0]
+    lapack = _lapack()
+    if lapack is None:
+        s = a * scale
+        s.flat[::m + 1] += shift
+        try:
+            return np.linalg.cholesky(s).diagonal().real
+        except np.linalg.LinAlgError:
+            return None
+    dpotrf, zpotrf, dpbtrf = lapack
+    n, info = ctypes.c_int64(m), ctypes.c_int64(0)
+    if kd is not None:
+        w = a * scale   # C-ordered (M, kd + 1) is the Fortran (kd + 1, M) band
+        w[:, 0] += shift
+        dpbtrf(b"L", n, ctypes.c_int64(kd), w.ctypes.data, ctypes.c_int64(kd + 1), info, 1)
+        diagonal = w[:, 0]
+    else:
+        w = np.empty(a.shape, dtype=a.dtype, order="F")
+        np.multiply(a, scale, out=w)
+        w.flat[::m + 1] += shift
+        (zpotrf if np.iscomplexobj(w) else dpotrf)(b"L", n, w.ctypes.data, n, info, 1)
+        diagonal = w.diagonal().real
+    return diagonal if info.value == 0 else None
 
 
 def log2_det_ipm(r: np.ndarray, c: float) -> float:
@@ -268,19 +361,28 @@ def log2_det_ipm(r: np.ndarray, c: float) -> float:
     lambda_min > -PSD_RTOL * lambda_max and :func:`psd_eigvals` would accept
     R.  If either factorization fails, the value comes from the clipped
     spectrum instead, which raises :class:`NotPSD` for an indefinite R.
+    So the value jumps inside the noise band: for lambda_min in (-tau, 0) it
+    keeps the factor's log2(1 + c lambda_min), and below -tau the clipped
+    spectrum counts that eigenvalue as 0 (on ones(4, 4) - mu u u^T, u = (1, -1,
+    0, 0)/sqrt(2), c = 1e6: 21.92434 at mu = 5e-9, 21.93157 at mu = 1.5e-8).
+    A real A whose lower triangle is exactly zero beyond a band kd <= M/2 - 16
+    is factored banded, in O(M kd^2) (:func:`_cholesky_diagonal`).
     Summing logs of the factor's diagonal avoids the determinant overflow
     that a direct ``det`` hits already around dimension 400 at high SNR.
     """
     if c < 0:
         raise InvalidParam(f"scale factor must be >= 0, got {c}")
     a = _factor_form(r)
-    try:
-        _shifted_cholesky(a, 1.0, PSD_RTOL * a.diagonal().real.max())
-        l = _shifted_cholesky(a, c, 1.0)
-    except np.linalg.LinAlgError:
+    src, kd = a, None
+    if not np.iscomplexobj(a) and _lapack() is not None:
+        width = _lower_bandwidth(a)
+        if width <= a.shape[0] / 2 - _BAND_MARGIN:
+            src, kd = _lower_band(a, width), width
+    if (_cholesky_diagonal(src, 1.0, PSD_RTOL * a.diagonal().real.max(), kd) is None
+            or (diagonal := _cholesky_diagonal(src, c, 1.0, kd)) is None):
         lam = _clip_psd(np.linalg.eigvalsh(a)[::-1])
         return float(np.sum(np.log2(1.0 + c * lam)))
-    return float(2.0 * np.sum(np.log2(l.diagonal().real)))
+    return float(2.0 * np.sum(np.log2(diagonal)))
 
 
 def sample_correlated(sqrt_factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:

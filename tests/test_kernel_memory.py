@@ -39,6 +39,13 @@ def onering_380():
 SHADOW_380 = 4.0 * np.random.default_rng(19).standard_normal(380)
 
 
+def banded_380():
+    """fig12c's largest broadside build: its real form is zero beyond lag 45 (flushed)."""
+    with linalg.flush_subnormals():
+        return gbsm.gaussian_ula_shadowed(gbsm.UlaGeometry(m=380), SHADOW_380, np.array([0.0]),
+                                          sigma_phi=np.radians(15.0))
+
+
 def test_onering_build_holds_one_steering_matrix():
     onering_380()   # fills the node cache
     r, peak = traced_peak_mib(onering_380)
@@ -50,8 +57,29 @@ def test_onering_build_holds_one_steering_matrix():
 def test_log_det_holds_one_complex_copy_above_its_input():
     r = onering_380()
     _, peak = traced_peak_mib(linalg.log2_det_ipm, r, 100.0)
-    # One complex residual copy and its modulus, or three real M x M arrays.
-    assert peak <= 3.6, f"{peak:.2f} MiB"
+    # One complex residual copy and its modulus (3.31 MiB); the real form and the
+    # factorization's one work array come after it, 2.2 MiB together.
+    assert peak <= 3.4, f"{peak:.2f} MiB"
+
+
+def test_banded_log_det_holds_one_complex_copy_above_its_input():
+    r = banded_380()
+    assert linalg._lower_bandwidth(linalg._factor_form(r)) == 45
+    with linalg.flush_subnormals():
+        _, peak = traced_peak_mib(linalg.log2_det_ipm, r, 100.0)
+    # The Hermitian check's 3.31 MiB again; the band, its index and its work array
+    # are 0.13 MiB each.
+    assert peak <= 3.4, f"{peak:.2f} MiB"
+
+
+@pytest.mark.parametrize("kd", [None, 45])
+def test_factorization_holds_one_work_array(kd):
+    a = linalg._factor_form(banded_380())
+    src = a if kd is None else linalg._lower_band(a, kd)
+    diagonal, peak = traced_peak_mib(linalg._cholesky_diagonal, src, 100.0, 1.0, kd)
+    assert diagonal is not None
+    # Factored in place in one copy of its input: 1.10 MiB dense, 0.13 MiB banded.
+    assert peak <= 1.15 * src.nbytes / MIB, f"{peak:.2f} MiB"
 
 
 def test_psd_sqrt_holds_its_root_and_one_real_array():
@@ -82,8 +110,10 @@ def hermitian_inputs():
                                           np.array([0.7]), sigma_phi=0.1)
     rng = np.random.default_rng(2)
     a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    banded = banded_380()
     mats = {"onering": onering, "shadowed": shadowed, "random": a @ a.conj().T,
-            "real": cbsm.exponential_correlation(10, 0.6)}
+            "real": cbsm.exponential_correlation(10, 0.6),
+            "banded": banded, "real-banded": linalg._factor_form(banded)}
     cases = {}
     for name, r in mats.items():
         fortran, one = np.asfortranarray(r), r[:1, :1].copy()

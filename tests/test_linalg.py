@@ -347,11 +347,18 @@ def complex_psd_sqrt(a):
     return (u * np.sqrt(lam)) @ u.conj().T
 
 
+def shifted_cholesky(a, scale, shift):
+    """numpy's lower Cholesky factor of scale * a + shift * I."""
+    s = a * scale
+    s.flat[::s.shape[0] + 1] += shift
+    return np.linalg.cholesky(s)
+
+
 def complex_log2_det_ipm(r, c):
     a = check_hermitian(r)
     try:
-        linalg._shifted_cholesky(a, 1.0, PSD_RTOL * a.diagonal().real.max())
-        l = linalg._shifted_cholesky(a, c, 1.0)
+        shifted_cholesky(a, 1.0, PSD_RTOL * a.diagonal().real.max())
+        l = shifted_cholesky(a, c, 1.0)
     except np.linalg.LinAlgError:
         lam = linalg._clip_psd(np.linalg.eigvalsh(a)[::-1])
         return float(np.sum(np.log2(1.0 + c * lam)))
@@ -385,27 +392,191 @@ def oracle_cases():
 ORACLE = dict(oracle_cases())
 
 
-@pytest.mark.parametrize("eta", [1e2, 1e6])
-@pytest.mark.parametrize("name", sorted(ORACLE))
-def test_shadowed_log_det_matches_40_digit_determinant(name, eta):
-    r = ORACLE[name]
+def log2_det_40_digits(r, c):
+    """log2 det(I + c R) from a 40-digit determinant, each entry of R taken as exact."""
     m = r.shape[0]
-    c = eta / m
-    assert linalg._similar_form(r)[1] is not None
     with mpmath.workdps(40):
         a = mpmath.matrix(m, m)
         for i in range(m):
             for j in range(m):
                 a[i, j] = (i == j) + mpmath.mpf(c) * mpmath.mpc(r[i, j].real, r[i, j].imag)
-        want = float(mpmath.log(mpmath.re(mpmath.det(a)), 2))
+        return float(mpmath.log(mpmath.re(mpmath.det(a)), 2))
+
+
+def oracle_tolerance(r, c):
     # u: the first-order change of the value, in bits, when every entry of R moves by
     # eps * max|R|.  The bound is twice the complex path's worst measured error, 0.25 u, over
     # random shadowed matrices (M <= 16, eta 1e2 and 1e6); in two samples of 400 the complex
     # path reached 0.13 u and the real path 0.19 u.  Here the worst are 0.07 u (complex) and
     # 0.12 u (real); near rank 1 at eta = 1e6 that is 2.6e-12 and 1.2e-11 relative.
-    tol = 0.5 * c * m * np.finfo(float).eps * np.abs(r).max() / np.log(2.0)
+    return 0.5 * c * r.shape[0] * np.finfo(float).eps * np.abs(r).max() / np.log(2.0)
+
+
+@pytest.mark.parametrize("eta", [1e2, 1e6])
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_shadowed_log_det_matches_40_digit_determinant(name, eta):
+    r = ORACLE[name]
+    c = eta / r.shape[0]
+    assert linalg._similar_form(r)[1] is not None
+    want = log2_det_40_digits(r, c)
+    tol = oracle_tolerance(r, c)
     assert abs(log2_det_ipm(r, c) - want) <= tol
     assert abs(complex_log2_det_ipm(r, c) - want) <= tol
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """(kd, succeeded) of every Cholesky factorization the log-det runs; kd None when dense."""
+    calls, factor = [], linalg._cholesky_diagonal
+
+    def spy(a, scale, shift, kd=None):
+        diagonal = factor(a, scale, shift, kd)
+        calls.append((kd, diagonal is not None))
+        return diagonal
+
+    monkeypatch.setattr(linalg, "_cholesky_diagonal", spy)
+    return calls
+
+
+def without_lapack(monkeypatch):
+    monkeypatch.setattr(linalg, "_lapack", lambda: None)
+
+
+def noise_band_probe(mu):
+    """ones(4, 4) - mu u u^T, u = (1, -1, 0, 0)/sqrt(2): lambda_min = -mu, max diag R = 1."""
+    u = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    return np.ones((4, 4)) - mu * np.outer(u, u)
+
+
+def banded_embedding(r, m=40):
+    """r in the leading block of an M x M identity: the lower bandwidth stays r's."""
+    out = np.eye(m)
+    out[:r.shape[0], :r.shape[0]] = r
+    return out
+
+
+@pytest.mark.parametrize("path", ["dense", "banded", "no-lapack"])
+def test_noise_band_jump_on_every_path(path, monkeypatch, factorizations):
+    # Inside the noise band the value is the factor's: lambda_min in (-tau, 0), tau =
+    # PSD_RTOL * max diag R = 1e-8, keeps log2(1 + c lambda_min).  Below -tau it is the clipped
+    # spectrum's, which counts lambda_min as 0: the documented jump of log2_det_ipm.
+    c = 1e6
+    if path == "no-lapack":
+        without_lapack(monkeypatch)
+    embed = banded_embedding if path == "banded" else (lambda r: r)
+    rest = 36 * np.log2(1.0 + c) if path == "banded" else 0.0
+    inside, below = embed(noise_band_probe(5e-9)), embed(noise_band_probe(1.5e-8))
+    cholesky = log2_det_ipm(inside, c)
+    assert abs(cholesky - rest - 21.92434) <= 1e-5
+    assert abs(cholesky - np.linalg.slogdet(np.eye(inside.shape[0]) + c * inside)[1]
+               / np.log(2.0)) <= 1e-9 * cholesky
+    assert abs(float(np.sum(np.log2(1.0 + c * psd_eigvals(inside)))) - cholesky) > 5e-3
+    clipped = log2_det_ipm(below, c)
+    assert abs(clipped - rest - 21.93157) <= 1e-5
+    assert clipped == float(np.sum(np.log2(1.0 + c * psd_eigvals(below))))
+    kd = 3 if path == "banded" else None
+    # inside: the guard and the value's factorization succeed; below: the guard fails
+    assert factorizations == [(kd, True), (kd, True), (kd, False)]
+
+
+def fallback_cases():
+    """Dense real forms, complex matrices and eigenvalue-fallback values."""
+    for name in ("gaussian-closed-33", "onering-100", "gaussian-num-101", "exponential-100",
+                 "onering-upa-5x5"):
+        yield name, CENTROHERMITIAN[name]
+    for name in ("gaussian-100-0", "gaussian-100-90", "exponential-100-0.99--2.5",
+                 "uncorrelated-20"):
+        yield name, PHASE_FORM[name]
+    yield "shadowed", shadowed_gaussian(2)
+    yield "random-psd", random_psd(50, np.random.default_rng(23))
+    yield "real-input", exponential_correlation(64, 0.7)
+    yield "noise-band", noise_band_probe(1.5e-8)
+    yield "noise-band-phase", noise_band_probe(1.5e-8) * np.exp(0.3j * np.arange(4))[:, None] \
+        * np.exp(-0.3j * np.arange(4))
+
+
+FALLBACK = dict(fallback_cases())
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK))
+def test_log_det_without_lapack_binding_is_bit_identical(name, monkeypatch, factorizations):
+    r = FALLBACK[name]
+    values = [log2_det_ipm(r, c) for c in (0.0, 1e-3, 25.0, 1e6)]
+    assert all(kd is None for kd, _ in factorizations)
+    without_lapack(monkeypatch)
+    assert [log2_det_ipm(r, c) for c in (0.0, 1e-3, 25.0, 1e6)] == values
+
+
+def broadside_gaussian(m, phi_deg, sigma_deg=15.0, seed=40):
+    """fig12c's shadowed Gaussian, built with subnormals flushed as a sweep builds it."""
+    f = np.random.default_rng(seed).normal(0.0, 4.0, m)
+    with flush_subnormals():
+        return gaussian_ula_shadowed(UlaGeometry(m=m), f, np.radians([phi_deg]),
+                                     sigma_phi=np.radians(sigma_deg))
+
+
+@pytest.mark.parametrize("m, phi, kd", [(140, 0.0, 45), (220, 0.0, 45), (220, 30.0, 52),
+                                        (380, 0.0, 45), (380, 60.0, 91), (380, 70.0, 133)])
+@pytest.mark.parametrize("eta", [1e2, 1e6])
+def test_banded_log_det_matches_the_dense_one(m, phi, kd, eta, monkeypatch, factorizations):
+    r = broadside_gaussian(m, phi)
+    with flush_subnormals():
+        banded = log2_det_ipm(r, eta / m)
+        monkeypatch.setattr(linalg, "_BAND_MARGIN", np.inf)
+        dense = log2_det_ipm(r, eta / m)
+    assert factorizations == [(kd, True), (kd, True), (None, True), (None, True)]
+    assert abs(banded - dense) <= 1e-13 * abs(dense)
+
+
+@pytest.mark.parametrize("m, phi, kd", [(24, 0.0, 11), (32, 0.0, 11), (32, 20.0, 12),
+                                        (32, 30.0, 13)])
+@pytest.mark.parametrize("eta", [1e2, 1e6])
+def test_banded_log_det_matches_40_digit_determinant(m, phi, kd, eta, monkeypatch,
+                                                     factorizations):
+    # sigma_phi = 60 deg narrows the band enough for M <= 32; a zero margin lets it take the
+    # band path there.
+    monkeypatch.setattr(linalg, "_BAND_MARGIN", 0)
+    r = broadside_gaussian(m, phi, sigma_deg=60.0, seed=m)
+    c = eta / m
+    with flush_subnormals():
+        got = log2_det_ipm(r, c)
+    assert factorizations == [(kd, True), (kd, True)]
+    assert abs(got - log2_det_40_digits(r, c)) <= oracle_tolerance(r, c)
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "phase-form"])
+def test_indefinite_banded_matrix_raises(complex_input, factorizations):
+    # D T D, T tridiagonal with a dominant off-diagonal; the gains D break J R J = conj(R).
+    m = 64
+    d = np.linspace(1.0, 2.0, m)
+    r = d[:, None] * (np.eye(m) + 2.0 * (np.eye(m, k=1) + np.eye(m, k=-1))) * d
+    if complex_input:
+        e = np.exp(0.4j * np.arange(m))
+        r = e[:, None] * r * e.conj()
+        assert linalg._similar_form(r)[1] is not None
+    assert np.linalg.eigvalsh(r)[0] < -2.0
+    with pytest.raises(NotPSD):
+        log2_det_ipm(r, 1.0)
+    assert factorizations == [(1, False)]
+
+
+OVERFLOWING = np.array([[1.3e308, 1.3e308 * (1 + 1j)], [1.3e308 * (1 - 1j), 1.3e308]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_finite_entries_whose_moduli_overflow_are_not_rejected_as_non_finite():
+    # |1.3e308 (1 + i)| overflows to inf, so max|A| is not finite although every entry is:
+    # the finiteness check in that pass must let it through, as the full scan did.  (The
+    # modulus of 1e308 (1 + i), 1.41e308, is finite.)
+    assert np.isfinite(OVERFLOWING).all() and np.abs(OVERFLOWING).max() == np.inf
+    before = OVERFLOWING.tobytes()
+    assert np.array_equal(check_hermitian(OVERFLOWING), OVERFLOWING)
+    assert log2_det_ipm(OVERFLOWING, 1.0) == np.inf
+    assert capacity_ub(OVERFLOWING, 10.0) == np.inf
+    assert np.isnan(psd_eigvals(OVERFLOWING)).all()
+    assert np.isnan(psd_sqrt(OVERFLOWING)).all()
+    assert np.isnan(condition_number(OVERFLOWING))
+    assert OVERFLOWING.tobytes() == before
 
 
 def test_sample_correlated_zero_factor():
