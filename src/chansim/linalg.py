@@ -9,7 +9,8 @@ Toeplitz one) or one that is E S E^H for a real S and a diagonal unitary E
 in real arithmetic.  The log-det's Cholesky factorizations run in place
 through the LAPACK that numpy loaded, banded where the real form is zero
 beyond a band, and through ``np.linalg.cholesky`` where that LAPACK is not
-found.
+found.  The square root of a real form of low numerical rank comes from its
+pivoted Cholesky factor through the same LAPACK, and from ``eigh`` otherwise.
 All correlation-matrix consumers in the package go through these routines
 so that the Hermitian check and the PSD clipping policy live in one place.
 :func:`one_blas_thread` and :func:`flush_subnormals` set a sweep point's FP state.
@@ -233,19 +234,34 @@ def psd_eigvals(a: np.ndarray) -> np.ndarray:
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root S of a PSD matrix, with S @ S^H == a.
 
-    Eigenvalues in the numerical-noise band below zero are clipped before
-    taking the square root, so rank-deficient correlation matrices (one-ring
-    with a small angular spread, for instance) are handled without Cholesky
-    failures.  With T the root of a's real form (:func:`_similar_form`), a
-    centrohermitian ``a`` gets U T U^H and a phase-similar one E T E^H.
+    The root T of a's real form A (:func:`_similar_form`) is mapped back:
+    a centrohermitian ``a`` gets U T U^H and a phase-similar one E T E^H.
+    A real A of numerical rank r <= M/2 - _RANK_MARGIN takes T from its
+    pivoted Cholesky factor in O(M^2 r) (:func:`_low_rank_root`), which
+    leaves the eigenvalues at the eigensolver's noise floor out of T.
+    Every other matrix, and each one whose PSD guard fails there, takes
+    ``eigh``: eigenvalues in the numerical-noise band below zero are
+    clipped before taking the square root, so rank-deficient correlation
+    matrices (one-ring with a small angular spread, for instance) are
+    handled without Cholesky failures, and one below it raises
+    :class:`NotPSD`.
     """
     form, e = _similar_form(a)
-    vals, vecs = np.linalg.eigh(form)
-    del form  # not held through the root's M x M temporaries
-    lam = _clip_psd(vals[::-1])
-    u = vecs[:, ::-1]
-    t = (u * np.sqrt(lam)) @ u.conj().T
-    del u, vecs  # nor the eigenvectors
+    t = _low_rank_root(form)
+    if t is None:
+        vals, vecs = np.linalg.eigh(form)
+        del form  # not held through the root's M x M temporaries
+        lam = _clip_psd(vals[::-1])
+        u = vecs[:, ::-1]
+        t = (u * np.sqrt(lam)) @ u.conj().T
+        del u, vecs  # nor the eigenvectors
+    else:
+        del form
+    return _root_of_form(t, e)
+
+
+def _root_of_form(t: np.ndarray, e: np.ndarray | None) -> np.ndarray:
+    """The root of a from the root ``t`` of its form: E T E^H, U T U^H, or ``t`` if complex."""
     if e is not None:
         root = np.outer(e, e.conj())
         return np.multiply(t, root, out=root)
@@ -275,27 +291,35 @@ def condition_number(a: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-# numpy's ILP64 LAPACK (the scipy-openblas wheel): dense real and complex, and banded real
-# Cholesky factorizations.
-_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_zpotrf_64_", "scipy_dpbtrf_64_")
+# numpy's ILP64 LAPACK (the scipy-openblas wheel): dense real and complex, banded real and
+# pivoted real Cholesky factorizations.
+_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_zpotrf_64_", "scipy_dpbtrf_64_",
+                   "scipy_dpstrf_64_")
 # The band path is taken for a lower bandwidth kd <= M/2 - _BAND_MARGIN: below that
 # margin its gather and call overheads outweigh the saving (README, decisions ledger).
 _BAND_MARGIN = 16
+# psd_sqrt's pivoted Cholesky root is taken for a numerical rank r <= M/2 - _RANK_MARGIN:
+# above that its Gram eigensolve and products outweigh the saving (README, decisions ledger).
+_RANK_MARGIN = 8
 
 
 @lru_cache(maxsize=1)
 def _lapack():
-    """numpy's (dpotrf, zpotrf, dpbtrf) as ctypes functions taking 64-bit integers, or None."""
+    """numpy's (dpotrf, zpotrf, dpbtrf, dpstrf) as ctypes functions of 64-bit integers, or None."""
     lib = _numpy_lapack_lib()
     if not all(hasattr(lib, name) for name in _LAPACK_SYMBOLS):
         return None
     fns = tuple(getattr(lib, name) for name in _LAPACK_SYMBOLS)
     ints = ctypes.POINTER(ctypes.c_int64)
     # (uplo, n, [kd,] a, lda, info) and gfortran's hidden length of uplo.
-    for fn, n_ints in zip(fns, (1, 1, 2)):
+    for fn, n_ints in zip(fns[:3], (1, 1, 2)):
         fn.argtypes = [ctypes.c_char_p, *[ints] * n_ints, ctypes.c_void_p, ints, ints,
                        ctypes.c_size_t]
         fn.restype = None
+    # dpstrf: (uplo, n, a, lda, piv, rank, tol, work, info) and the length of uplo.
+    fns[3].argtypes = [ctypes.c_char_p, ints, ctypes.c_void_p, ints, ctypes.c_void_p, ints,
+                       ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ints, ctypes.c_size_t]
+    fns[3].restype = None
     return fns
 
 
@@ -336,7 +360,7 @@ def _cholesky_diagonal(a: np.ndarray, scale: float, shift: float,
             return np.linalg.cholesky(s).diagonal().real
         except np.linalg.LinAlgError:
             return None
-    dpotrf, zpotrf, dpbtrf = lapack
+    dpotrf, zpotrf, dpbtrf, _ = lapack
     n, info = ctypes.c_int64(m), ctypes.c_int64(0)
     if kd is not None:
         w = a * scale   # C-ordered (M, kd + 1) is the Fortran (kd + 1, M) band
@@ -350,6 +374,59 @@ def _cholesky_diagonal(a: np.ndarray, scale: float, shift: float,
         (zpotrf if np.iscomplexobj(w) else dpotrf)(b"L", n, w.ctypes.data, n, info, 1)
         diagonal = w.diagonal().real
     return diagonal if info.value == 0 else None
+
+
+def _pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(W, piv, r): LAPACK's dpstrf of real symmetric ``a``, P^T A P = L L^T at rank r.
+
+    L is the first r columns of W's lower triangle, and P moves row i of L to
+    row piv[i] - 1.  r stops where no pivot exceeds LAPACK's default tolerance
+    M eps max diag A, or at a pivot that is not positive.  Needs :func:`_lapack`.
+    """
+    m = a.shape[0]
+    w = np.array(a, order="F")
+    piv, work = np.empty(m, dtype=np.int64), np.empty(2 * m)
+    n, rank, info = ctypes.c_int64(m), ctypes.c_int64(0), ctypes.c_int64(0)
+    _lapack()[3](b"L", n, w.ctypes.data, n, piv.ctypes.data, rank, ctypes.c_double(-1.0),
+                 work.ctypes.data, info, 1)
+    return w, piv, rank.value
+
+
+def _low_rank_root(a: np.ndarray) -> np.ndarray | None:
+    """Symmetric root T of a real symmetric ``a`` at its numerical rank r, or None.
+
+    LAPACK's dpstrf (complete pivoting, :func:`_pivoted_cholesky`) stops at
+    the rank r where no pivot exceeds its default tolerance M eps max diag A
+    (Higham 1990; Hammarling, Higham and Lucas 2008), so B = P L has B B^T = A
+    up to it.  With B^T B = V diag(s^2) V^T and W = B V diag(s^-1/2),
+    T = W W^T = C diag(s) C^T for C = B V diag(1/s), and T T = B B^T.
+    None, for ``eigh`` to take the root, for a complex ``a``, without numpy's
+    ILP64 LAPACK, for a max diag A that is not finite and positive, for
+    r > M/2 - _RANK_MARGIN, and unless the Cholesky guard of
+    :func:`log2_det_ipm` succeeds on A + tau I, tau = PSD_RTOL * max diag A:
+    so an indefinite ``a`` reaches ``eigh``'s check.
+    """
+    m = a.shape[0]
+    limit = m / 2 - _RANK_MARGIN
+    if a.dtype != float or _lapack() is None or limit < 1:
+        return None
+    top = a.diagonal().max()
+    # tr(A)^2 / ||A||_F^2 <= rank A (Cauchy-Schwarz on the eigenvalues) skips the
+    # factorization of a matrix whose rank is already known to be too high.
+    if not 0.0 < top < np.inf or a.trace() ** 2 > limit * np.vdot(a, a):
+        return None
+    w, piv, r = _pivoted_cholesky(a)
+    if r > limit:
+        return None
+    b = np.empty((m, r))
+    b[piv - 1] = np.tril(w[:, :r])
+    del w   # so that the guard's work array is the only other M x M one
+    if _cholesky_diagonal(a, 1.0, PSD_RTOL * top) is None:
+        return None
+    s2, v = np.linalg.eigh(b.T @ b)
+    keep = s2 > 0.0
+    w = b @ (v[:, keep] * s2[keep] ** -0.25)
+    return w @ w.T
 
 
 def log2_det_ipm(r: np.ndarray, c: float) -> float:

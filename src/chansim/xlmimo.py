@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,10 +54,17 @@ def rayleigh_distance(aperture: float, wavelength: float) -> float:
     return 2.0 * aperture**2 / wavelength
 
 
+@lru_cache(maxsize=8)
 def antenna_positions(geom: UlaGeometry) -> np.ndarray:
-    """x-coordinates (meters) of the array elements, centered at the origin."""
+    """x-coordinates (meters) of the array elements, centered at the origin.
+
+    Computed once per geometry (UlaGeometry is frozen, so it keys the cache)
+    and returned read-only, since every caller shares the one array.
+    """
     spacing = geom.d_h * DEFAULT_WAVELENGTH
-    return (np.arange(geom.m) - (geom.m - 1) / 2.0) * spacing
+    positions = (np.arange(geom.m) - (geom.m - 1) / 2.0) * spacing
+    positions.flags.writeable = False
+    return positions
 
 
 @dataclass

@@ -1,17 +1,32 @@
-"""Time ``linalg.log2_det_ipm`` per call on fig12c's shadowed Gaussian, and print a table.
+"""Time ``linalg.log2_det_ipm`` and ``linalg.psd_sqrt`` per call, and print two tables.
 
-Each row is one array size M.  The matrices are fig12c's at sigma_phi =
-15 deg and sigma_shad = 4 dB, built and timed as a sweep point runs them:
-numpy's OpenBLAS on one thread, subnormals flushed and the freed heap kept
-mapped.  At phi = 0 the real form is zero beyond lag kd, so the log-det
-factors it banded; at phi = 90 deg it is dense.  The columns give the best
-per-call time in ms:
+Each row is one array size M, timed as a sweep point runs it: numpy's
+OpenBLAS on one thread, subnormals flushed and the freed heap kept mapped.
+The columns give the best per-call time in ms over 7 rounds of 20 calls;
+each round times every column of a row in turn, so that a change of the
+machine's load reaches all of them alike.
+
+The log-det table takes fig12c's shadowed Gaussian at sigma_phi = 15 deg
+and sigma_shad = 4 dB.  At phi = 0 the real form is zero beyond lag kd, so
+the log-det factors it banded; at phi = 90 deg it is dense.
 
     banded         phi = 0 through LAPACK's dpbtrf
     dense-band-off phi = 0 with the band path switched off (dpotrf)
     dense          phi = 90 through dpotrf
     fallback-0     phi = 0 without the LAPACK binding (np.linalg.cholesky)
     fallback-90    phi = 90 without it
+
+The square-root table takes the one-ring correlation at phi = 0.3 rad and
+half-width 10 deg (an XL cluster's) and 60 deg, on 0.5-wavelength spacing,
+and the exponential correlation at rho = 0.5.  r10 and r60 are the
+one-ring forms' numerical ranks from LAPACK's dpstrf; below M/2 - 8 the
+root comes from the pivoted Cholesky factor, above it from ``eigh``.  Each
+matrix is timed as it is and without the LAPACK binding (``-nb``), which
+is the ``eigh`` path for every matrix:
+
+    or10, or10-nb  one-ring, 10 deg
+    or60, or60-nb  one-ring, 60 deg
+    exp, exp-nb    exponential, rho = 0.5 (full rank)
 
 Run from the repository root:
 
@@ -20,10 +35,11 @@ Run from the repository root:
 
 import sys
 import timeit
+from contextlib import contextmanager
 
 import numpy as np
 
-from chansim import gbsm, linalg, runner
+from chansim import cbsm, gbsm, linalg, runner
 
 SIZES = (100, 220, 380)
 NUMBER, REPEAT = 20, 7
@@ -35,18 +51,43 @@ def shadowed_gaussian(m: int, phi_deg: float) -> np.ndarray:
                                       sigma_phi=np.radians(15.0))
 
 
-def per_call_ms(r: np.ndarray, **patch) -> float:
-    """Best per-call time of log2_det_ipm(r, 1e6 / M), with module attributes of linalg patched."""
-    saved = {name: getattr(linalg, name) for name in patch}
-    for name, value in patch.items():
+def onering(m: int, delta_deg: float) -> np.ndarray:
+    delta = np.radians(delta_deg)
+    return gbsm.onering_ula(gbsm.UlaGeometry(m=m), phi=0.3, delta_phi=delta,
+                            quad=gbsm.sized_quadrature(delta, 0.5, m))
+
+
+def pivoted_rank(r: np.ndarray) -> int:
+    """The numerical rank dpstrf finds for r's real form, at LAPACK's default tolerance."""
+    return linalg._pivoted_cholesky(linalg._factor_form(r))[2]
+
+
+@contextmanager
+def patched(**attrs):
+    """Module attributes of linalg set to the given values for the body, then restored."""
+    saved = {name: getattr(linalg, name) for name in attrs}
+    for name, value in attrs.items():
         setattr(linalg, name, value)
     try:
-        c = 1e6 / r.shape[0]
-        return min(timeit.repeat(lambda: linalg.log2_det_ipm(r, c), number=NUMBER,
-                                 repeat=REPEAT)) / NUMBER * 1e3
+        yield
     finally:
         for name, value in saved.items():
             setattr(linalg, name, value)
+
+
+def best_ms(*variants) -> list[float]:
+    """Best per-call ms of each (call, patch) variant, over REPEAT rounds that interleave them."""
+    best = [np.inf] * len(variants)
+    for _ in range(REPEAT):
+        for i, (call, patch) in enumerate(variants):
+            with patched(**patch):
+                best[i] = min(best[i], timeit.timeit(call, number=NUMBER) / NUMBER * 1e3)
+    return best
+
+
+def log_det(r: np.ndarray):
+    c = 1e6 / r.shape[0]
+    return lambda: linalg.log2_det_ipm(r, c)
 
 
 def main(sizes) -> None:
@@ -58,10 +99,21 @@ def main(sizes) -> None:
         for m in sizes:
             broadside, endfire = shadowed_gaussian(m, 0.0), shadowed_gaussian(m, 90.0)
             kd = linalg._lower_bandwidth(linalg._factor_form(broadside))
-            print(f"{m:>4} {kd:>4} {per_call_ms(broadside):>8.3f} "
-                  f"{per_call_ms(broadside, _BAND_MARGIN=np.inf):>15.3f} "
-                  f"{per_call_ms(endfire):>8.3f} {per_call_ms(broadside, **no_lapack):>11.3f} "
-                  f"{per_call_ms(endfire, **no_lapack):>12.3f}", flush=True)
+            cells = best_ms((log_det(broadside), {}),
+                            (log_det(broadside), {"_BAND_MARGIN": np.inf}),
+                            (log_det(endfire), {}), (log_det(broadside), no_lapack),
+                            (log_det(endfire), no_lapack))
+            print(f"{m:>4} {kd:>4} " + " ".join(f"{t:>{w}.3f}" for t, w in
+                                              zip(cells, (8, 15, 8, 11, 12))), flush=True)
+        print(f"\n{'M':>4} {'r10':>4} {'r60':>4} {'or10':>8} {'or10-nb':>8} {'or60':>8} "
+              f"{'or60-nb':>8} {'exp':>8} {'exp-nb':>8}")
+        for m in sizes:
+            narrow, wide = onering(m, 10.0), onering(m, 60.0)
+            exponential = cbsm.exponential_correlation(m, 0.5)
+            cells = best_ms(*[((lambda r=r: linalg.psd_sqrt(r)), patch)
+                              for r in (narrow, wide, exponential) for patch in ({}, no_lapack)])
+            print(f"{m:>4} {pivoted_rank(narrow):>4} {pivoted_rank(wide):>4} "
+                  + " ".join(f"{t:>8.3f}" for t in cells), flush=True)
 
 
 if __name__ == "__main__":

@@ -11,12 +11,14 @@ from chansim import linalg
 from chansim.cbsm import (exponential_correlation, exponential_with_shadowing,
                           uncorrelated_with_shadowing)
 from chansim.errors import InvalidMatrix, InvalidParam, NotPSD
-from chansim.gbsm import (UlaGeometry, UpaGeometry, gaussian_ula_closed, gaussian_ula_numeric,
-                          gaussian_ula_shadowed, gaussian_upa, onering_ula, onering_upa)
+from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry, gaussian_ula_closed,
+                          gaussian_ula_numeric, gaussian_ula_shadowed, gaussian_upa, onering_ula,
+                          onering_upa)
 from chansim.linalg import (PSD_RTOL, check_hermitian, complex_gaussian, condition_number,
                             flush_subnormals, log2_det_ipm, one_blas_thread, psd_eigvals,
                             psd_sqrt, sample_correlated)
 from chansim.metrics import capacity_single, capacity_ub
+from chansim.xlmimo import CLUSTER_CORR_QUADRATURE, CLUSTER_CORR_SPACING
 
 
 def random_psd(m, rng):
@@ -558,6 +560,131 @@ def test_indefinite_banded_matrix_raises(complex_input, factorizations):
     with pytest.raises(NotPSD):
         log2_det_ipm(r, 1.0)
     assert factorizations == [(1, False)]
+
+
+@pytest.fixture
+def sqrt_paths(monkeypatch):
+    """"low-rank" or "eigen": the path each psd_sqrt call took for its root."""
+    paths, low_rank_root = [], linalg._low_rank_root
+
+    def spy(a):
+        t = low_rank_root(a)
+        paths.append("eigen" if t is None else "low-rank")
+        return t
+
+    monkeypatch.setattr(linalg, "_low_rank_root", spy)
+    return paths
+
+
+def fig15_cluster(m=100, phi=0.3, delta_deg=10.0):
+    """An XL one-ring cluster correlation as fig15 builds it (M = 100, 101 nodes, 0.5 lambda)."""
+    return onering_ula(UlaGeometry(m=m, d_h=CLUSTER_CORR_SPACING), phi=phi,
+                       delta_phi=np.radians(delta_deg), quad=CLUSTER_CORR_QUADRATURE)
+
+
+def eigen_psd_sqrt(a):
+    """Reference copy of the eigen path: eigh of the real form, clipped, mapped back."""
+    form, e = linalg._similar_form(a)
+    vals, vecs = np.linalg.eigh(form)
+    lam = linalg._clip_psd(vals[::-1])
+    u = vecs[:, ::-1]
+    t = (u * np.sqrt(lam)) @ u.conj().T
+    if e is not None:
+        return t * np.outer(e, e.conj())
+    if np.iscomplexobj(t):
+        return t
+    return (t + t[::-1, ::-1]) / 2.0 + 1j * (t[::-1, :] - t[:, ::-1]) / 2.0
+
+
+def guard_probe(mu, m=40):
+    """ones(M, M) - mu u u^T, u = (1, -1, 0, ...)/sqrt(2): rank 1 to dpstrf, lambda_min = -mu.
+
+    lambda_max = M and max diag = 1, so the guard's tau is 1e-8 and the noise band
+    reaches -PSD_RTOL * M = -4e-7.
+    """
+    u = np.zeros(m)
+    u[:2] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    return np.ones((m, m)) - mu * np.outer(u, u)
+
+
+SQRT_PATHS = {
+    "fig15-onering": (fig15_cluster(), "low-rank"),
+    "fig15-onering-broadside": (fig15_cluster(phi=0.0), "low-rank"),
+    "exponential-0.5": (exponential_correlation(100, 0.5), "eigen"),
+    # full rank, though tr(A)^2 / ||A||_F^2 = 5.7 lets it reach dpstrf: the rank sends it on
+    "exponential-0.95": (exponential_correlation(100, 0.95), "eigen"),
+    "onering-60deg": (onering_ula(UlaGeometry(m=100), phi=0.3, delta_phi=np.radians(60.0),
+                                  quad=QuadratureConfig(nodes_per_dim=401)), "eigen"),
+    "shadowed": (shadowed_gaussian(1), "eigen"),
+    "guard-fails-in-noise-band": (guard_probe(2e-7), "eigen"),
+    "small-m": (fig15_cluster(m=16), "eigen"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQRT_PATHS))
+def test_psd_sqrt_takes_the_low_rank_path_only_where_it_applies(name, sqrt_paths):
+    r, path = SQRT_PATHS[name]
+    s = psd_sqrt(r)
+    assert sqrt_paths == [path]
+    check_hermitian(s)
+    lam = np.linalg.eigvalsh(r)
+    # clipping a negative lambda_min inside the noise band leaves it out of S S^H
+    assert np.abs(s @ s.conj().T - r).max() <= 1e-9 * lam[-1] + max(0.0, -lam[0])
+    if path == "eigen":
+        assert np.array_equal(s, eigen_psd_sqrt(r))
+
+
+def test_guard_probe_is_inside_the_noise_band_below_tau():
+    # so that the probe reaches the guard (rank 1 <= M/2 - 8) and the guard alone sends it on
+    r = guard_probe(2e-7)
+    assert linalg._pivoted_cholesky(linalg._factor_form(r))[2] == 1
+    lam = np.linalg.eigvalsh(r)
+    assert -PSD_RTOL * lam[-1] < lam[0] < -PSD_RTOL
+    assert psd_eigvals(r)[-1] == 0.0
+
+
+def test_low_rank_attempt_still_raises_not_psd_below_the_noise_band(sqrt_paths):
+    with pytest.raises(NotPSD):
+        psd_sqrt(guard_probe(1e-6))
+    assert sqrt_paths == ["eigen"]
+
+
+@pytest.mark.parametrize("name", sorted(SQRT_PATHS) + ["phase-form", "random-psd"])
+def test_psd_sqrt_without_lapack_binding_is_the_eigen_path_bit_for_bit(name, monkeypatch,
+                                                                        sqrt_paths):
+    if name == "phase-form":
+        r = PHASE_FORM["exponential-100-0.5-0"]
+    elif name == "random-psd":
+        r = random_psd(50, np.random.default_rng(24))
+    else:
+        r = SQRT_PATHS[name][0]
+    without_lapack(monkeypatch)
+    assert np.array_equal(psd_sqrt(r), eigen_psd_sqrt(r))
+    assert sqrt_paths == ["eigen"]
+
+
+@pytest.mark.parametrize("m", [8, 100, 380])
+@pytest.mark.parametrize("phi", [-0.6, 0.0, 0.3])
+def test_psd_sqrt_is_a_hermitian_root_at_every_size(m, phi, sqrt_paths):
+    # M = 8 is below the low-rank path's reach (M/2 - 8 < 1); M = 100 and 380 take it.
+    r = onering_ula(UlaGeometry(m=m), phi=phi, delta_phi=np.radians(10.0),
+                    quad=QuadratureConfig(nodes_per_dim=max(101, m + 19)))
+    s = psd_sqrt(r)
+    assert sqrt_paths == ["eigen" if m == 8 else "low-rank"]
+    check_hermitian(s)
+    assert np.abs(s @ s.conj().T - r).max() <= 1e-9 * psd_eigvals(r)[0]
+
+
+@pytest.mark.parametrize("phi", [-0.6, -0.3, 0.0, 0.1, 0.25, 0.5, 0.9])
+def test_psd_sqrt_of_a_fig15_cluster_is_stable_under_a_last_digit_scaling(phi, sqrt_paths):
+    # The eigen path takes the square root of the noise eigenvalues (about 1e-16 lambda_max),
+    # whose eigenvectors any rounding turns: that root moved by 8e-9 to 1.3e-8 max|S| here.
+    # The low-rank root leaves them out and moves by at most 7e-10 max|S|.
+    r = fig15_cluster(phi=phi)
+    s = psd_sqrt(r)
+    moved = np.abs(psd_sqrt(r * (1.0 + 2.0**-52)) - s).max()
+    assert sqrt_paths == ["low-rank", "low-rank"]
+    assert moved <= 2e-9 * np.abs(s).max()
 
 
 OVERFLOWING = np.array([[1.3e308, 1.3e308 * (1 + 1j)], [1.3e308 * (1 - 1j), 1.3e308]])

@@ -37,6 +37,16 @@ def test_antenna_positions_centered():
     assert np.isclose(pos[-1] - pos[0], 61.875)
 
 
+def test_antenna_positions_are_computed_once_per_geometry_and_read_only():
+    pos = antenna_positions(xl_geometry())
+    # an equal geometry, as each scenario builds its own, gets the same array
+    assert antenna_positions(UlaGeometry(m=100, d_h=5.0)) is pos
+    assert antenna_positions(xl_geometry(m=99)) is not pos
+    assert np.array_equal(pos, (np.arange(100) - 49.5) * (5.0 * 0.125))
+    with pytest.raises(ValueError):
+        pos[0] = 0.0
+
+
 def test_place_clusters_scheme1_distance():
     rng = np.random.default_rng(0)
     placed = place_clusters("scheme1", 5, 2, (5.0, 10.0), rng, 61.875, d1=35.0)
