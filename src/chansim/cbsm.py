@@ -5,9 +5,10 @@ model with log-normal shadowing, and the exponential model with shadowing.
 Shadowing vectors are drawn once per correlation-matrix realization, i.e.
 per Monte Carlo trial, since shadowing is a large-scale effect.  The
 shadowed builders take the antenna count M from the length of that draw.
-Every lag-row kernel K, here and in :mod:`chansim.gbsm`, is computed on its
-2M - 1 lags and read through :func:`toeplitz`; a shadowed model is D K D
-with D = diag(10^(f/db)) (:func:`shade`), so no M x M shadow power is formed.
+Every lag-row kernel K, here and in :mod:`chansim.gbsm`, is Hermitian Toeplitz:
+it is computed on its first column, the M lags m - n = 0..M-1, and read through
+:func:`toeplitz`.  A shadowed model is D K D with D = diag(10^(f/db)) (:func:`shade`),
+so no M x M shadow power is formed.
 """
 
 from __future__ import annotations
@@ -20,25 +21,25 @@ from .errors import InvalidParam
 def exponential_correlation(m: int, rho: float) -> np.ndarray:
     """Classical exponential Toeplitz correlation matrix, M x M.
 
-    Entry (m, n) is rho^(n-m) for m <= n, conjugate-mirrored below the
-    diagonal.  For real rho in [0, 1] this is the symmetric Toeplitz matrix
-    rho^|n-m| with unit diagonal; no path-loss scaling is applied here.
+    Entry (m, n) is rho^|m-n| for rho in [0, 1], with unit diagonal; no
+    path-loss scaling is applied here.
     """
     return np.array(toeplitz(_exponential_lags(m, rho)), dtype=float)
 
 
 def _exponential_lags(m: int, rho: float) -> np.ndarray:
-    """rho^|k| at the lags k = -(M-1)..M-1."""
+    """rho^k at the lags k = 0..M-1."""
     if m < 1:
         raise InvalidParam(f"antenna count must be >= 1, got {m}")
     if not 0.0 <= rho <= 1.0:
         raise InvalidParam(f"correlation factor must be in [0, 1], got {rho}")
-    return rho ** np.abs(np.arange(1 - m, m))
+    return rho ** np.arange(m)
 
 
-def toeplitz(lags: np.ndarray) -> np.ndarray:
-    """Lag n - m of the lags -(M-1)..M-1 at (m, n): read-only sliding windows, rows reversed."""
-    return np.lib.stride_tricks.sliding_window_view(lags, (lags.size + 1) // 2)[::-1]
+def toeplitz(col: np.ndarray) -> np.ndarray:
+    """Read-only Hermitian Toeplitz view of first column ``col``: col[m - n] at (m, n), m >= n."""
+    lags = np.concatenate((col[::-1], col[1:].conj()))   # row m is lags[M-1-m:][:M]
+    return np.lib.stride_tricks.sliding_window_view(lags, col.size)[::-1]
 
 
 def shade(k: np.ndarray, f: np.ndarray, db: float) -> np.ndarray:
@@ -86,5 +87,5 @@ def exponential_with_shadowing(f: np.ndarray, rho: float, theta: float,
     f = np.asarray(f, dtype=float)
     if f.ndim != 1:
         raise InvalidParam(f"shadow draw must be 1-D, got shape {f.shape}")
-    phase = np.exp(1j * np.arange(1 - f.size, f.size) * theta)  # once per lag n - m
+    phase = np.exp(-1j * np.arange(f.size) * theta)
     return shade(toeplitz(beta * (_exponential_lags(f.size, rho) * phase)), f, 20.0)

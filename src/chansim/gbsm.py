@@ -5,11 +5,12 @@ scattering, over uniform linear (2-D) and uniform planar (3-D) arrays.
 Each GBSM is an angle measure plus an assembly.  The measure is a set of
 angles with positive weights summing to 1, from :func:`onering_nodes` or
 :func:`gaussian_nodes` on :func:`sized_quadrature` Gauss-Legendre nodes,
-about twice the window's need; a planar array takes the outer product of
-two.  The assembly A diag(w) A^H of steering vectors is Hermitian PSD by
-construction.  Every builder takes its sum once per index lag and gathers
-the M x M matrix from the lag table: the ULA builders through
-:func:`cbsm.toeplitz`, the closed-form Gaussian kernel K shadowed as D K D.
+about twice the window's need and never fewer than it (panels of a 4001-node
+rule above that); a planar array takes the outer product of two.  The
+assembly A diag(w) A^H of steering vectors is Hermitian PSD by construction.
+Every builder takes its sum once per index lag and gathers the M x M matrix
+from the lag table: the ULA builders from the M lags of its first column
+through :func:`cbsm.toeplitz`, the closed-form Gaussian kernel shadowed as D K D.
 A quadrature ULA lag row takes one exponential per lag and node, M * N
 exponentials and one gemv per build.  The UPA builder raises one unit-lag
 phase per angle node to each horizontal lag by repeated products: N^2
@@ -32,7 +33,7 @@ from .cbsm import shade, toeplitz
 from .errors import InvalidParam, QuadratureWarning, ValidityWarning
 
 DEFAULT_NODES = 201
-MAX_QUAD_NODES = 4001   # the cap of sized_quadrature
+MAX_QUAD_NODES = 4001   # the largest rule _leggauss solves (O(n^3)); panels of it beyond
 # Elevation columns per block of the planar lag-table sum.
 _EL_BLOCK = 32
 # Gaussian scattering integrals are truncated at +/- this many sigmas.
@@ -92,7 +93,13 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre rule on [-1, 1]: n nodes, or MAX_QUAD_NODES on each of ceil(n/MAX) panels."""
+    if n <= MAX_QUAD_NODES:
+        return np.polynomial.legendre.leggauss(n)
+    panels = -(-n // MAX_QUAD_NODES)
+    x, w = _leggauss(MAX_QUAD_NODES)
+    mids = np.arange(1 - panels, panels, 2) / panels
+    return (mids[:, None] + x / panels).ravel(), np.tile(w / panels, panels)
 
 
 def _check_nonnegative(beta: float, **spreads: float):
@@ -110,11 +117,11 @@ def _nodes_needed(spread: float, d: float, m: int) -> float:
 
 
 def sized_quadrature(spread: float, d: float, m: int) -> QuadratureConfig:
-    """Need + 1 nodes for half-width ``spread`` on ``m`` antennas ``d`` apart, floored, capped."""
+    """Need + 1 nodes for half-width ``spread`` on ``m`` antennas ``d`` apart, floored."""
     need = _nodes_needed(spread, d, m)
     # 2 * need + 32, up to a multiple of 32 (few counts keep _leggauss cached); <= DEFAULT_NODES.
     floor = min(DEFAULT_NODES, 32 * int(np.ceil((2 * need + 32) / 32)))
-    return QuadratureConfig(nodes_per_dim=min(max(floor, int(np.ceil(need)) + 1), MAX_QUAD_NODES))
+    return QuadratureConfig(nodes_per_dim=max(floor, int(np.ceil(need)) + 1))
 
 
 def _warn_if_coarse(nodes: int, spread: float, d_h: float, m: int):
@@ -157,9 +164,9 @@ def _ula_from_angles(geom: UlaGeometry, angles: np.ndarray, weights: np.ndarray,
     Entry (m, n) depends only on the index lag k = m - n, so the sum is
     taken once per lag k = 0..M-1 as row[k] = sum_j w_j exp(2 pi i d_H k
     sin(angle_j)), with one exponential per lag and node and one gemv.  R
-    is gathered from row through :func:`cbsm.toeplitz`, with lag -k read
-    as conj(row[k]).  That is the same sum A diag(w) A^H, so R stays PSD
-    by construction, and it is exactly Hermitian and centrohermitian.
+    is gathered from that first column through :func:`cbsm.toeplitz`.
+    That is the same sum A diag(w) A^H, so R stays PSD by construction,
+    and it is exactly Hermitian and centrohermitian.
     """
     k = np.arange(geom.m)
     a = 2j * np.pi * geom.d_h * k[:, None] * np.sin(angles)[None, :]
@@ -168,8 +175,7 @@ def _ula_from_angles(geom: UlaGeometry, angles: np.ndarray, weights: np.ndarray,
     del a   # so that the M x N phases and the M x M output are not held at once
     row[0] = 1.0
     row *= beta
-    # toeplitz reads lag n - m = -k at (m, n), from n - m = -(M-1) up to M-1.
-    return np.array(toeplitz(np.concatenate((row[:0:-1], row.conj()))))
+    return np.array(toeplitz(row))
 
 
 def onering_ula(geom: UlaGeometry, *, phi: float, delta_phi: float, beta: float = 1.0,
@@ -234,15 +240,15 @@ def gaussian_ula_shadowed(geom: UlaGeometry, f: np.ndarray, nominal_angles: np.n
     if phis.size < 1:
         raise InvalidParam("need at least one scatterer angle")
     # The kernel depends only on the lag m - n: take it once per lag
-    # -(M-1)..M-1 and read the M x M matrix as a Toeplitz view of that row.
-    diff = np.arange(-(f.size - 1), f.size)
+    # 0..M-1 and read the M x M matrix as a Toeplitz view of that column.
+    diff = np.arange(f.size)
     acc = np.zeros(diff.size, dtype=complex)
     for phi_s in phis:
         phase = np.exp(2j * np.pi * geom.d_h * diff * np.sin(phi_s))
         damp = np.exp(-(sigma_phi**2 / 2.0)
                       * (2.0 * np.pi * geom.d_h * diff * np.cos(phi_s)) ** 2)
         acc += phase * damp
-    return shade(toeplitz(beta * acc[::-1] / phis.size), f, 10.0)   # toeplitz reads lag n - m
+    return shade(toeplitz(beta * acc / phis.size), f, 10.0)
 
 
 def draw_scatterer_angles(s: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,16 +1,17 @@
-"""Complex dense linear algebra kernel.
+"""Dense linear algebra of Hermitian PSD matrices, in real arithmetic where it can be.
 
 PSD eigenvalues and matrix square roots, condition numbers,
 log-determinants by a PSD-guarded Cholesky factorization (with the
 eigenvalue path as its fallback) and correlated complex Gaussian sampling.
-Every routine takes and returns plain numpy arrays or floats, and factors a
-real symmetric matrix as it is, and a centrohermitian one (every Hermitian
-Toeplitz one) or one that is E S E^H for a real S and a diagonal unitary E
-in real arithmetic.  The log-det's Cholesky factorizations run in place
-through the LAPACK that numpy loaded, banded where the real form is zero
-beyond a band, and through ``np.linalg.cholesky`` where that LAPACK is not
-found.  The square root of a real form of low numerical rank comes from its
-pivoted Cholesky factor through the same LAPACK, and from ``eigh`` otherwise.
+Every routine takes and returns plain numpy arrays or floats.  A matrix is
+factored through its one real form (:func:`_similar_form`): a real symmetric
+matrix is its own, and a centrohermitian one (every Hermitian Toeplitz one)
+or E S E^H, S real and E diagonal unitary, has one that carries the map
+that takes its square root back.  The log-det's Cholesky factorizations run
+in place through the LAPACK that numpy loaded, banded where the real form is
+zero beyond a band, and through ``np.linalg.cholesky`` where that LAPACK is
+not found.  The square root of a real form of low numerical rank comes from
+its pivoted Cholesky factor through the same LAPACK, and from ``eigh`` otherwise.
 All correlation-matrix consumers in the package go through these routines
 so that the Hermitian check and the PSD clipping policy live in one place.
 :func:`one_blas_thread` and :func:`flush_subnormals` set a sweep point's FP state.
@@ -22,6 +23,7 @@ import ctypes
 import platform
 from contextlib import contextmanager
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -172,44 +174,51 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     return np.asarray(_hermitian_and_scale(a)[0], dtype=complex)
 
 
-def _similar_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(A, e): a real symmetric A unitarily similar to Hermitian ``a`` if found, else (a, None).
+def _similar_form(a: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """(A, back): Hermitian ``a``'s real form A if found, else ``a``; back maps roots of A to a's.
 
-    Centrohermitian a (max|J a J - conj(a)| <= HERMITIAN_RTOL * max|a|, J the exchange
-    matrix) gives A = Re(U^H a U), U = (I + iJ)/sqrt(2) (A. Lee, LAA 29, 1980), and e = None.
-    Else E = diag(e), e the running product of the phases of a's first subdiagonal, and
-    A = Re(E^H a E) if its imaginary part is within the same residual (shadowed, one AoA).
+    A real ``a`` is its own form.  Centrohermitian a (max|J a J - conj(a)| <= HERMITIAN_RTOL *
+    max|a|, J the exchange matrix) gives A = Re(U^H a U), U = (I + iJ)/sqrt(2) (A. Lee, LAA 29,
+    1980), and back(T) = U T U^H.  Else E = diag(e), e the running product of the phases of
+    a's first subdiagonal, and A = Re(E^H a E), back(T) = E T E^H, if its imaginary part is
+    within the same residual (shadowed, one AoA).  Else back is the identity, as for real a.
     A real A is a compact copy, so the complex E^H a E is freed on return.
     """
     a, scale = _hermitian_and_scale(a)
+    if not np.iscomplexobj(a):
+        return a, lambda t: t
     tol = HERMITIAN_RTOL * scale
     d = a.diagonal()  # its residual alone rejects a shadowed matrix in O(M)
     # max|a - conj(J a J)| is max|J a J - conj(a)| exactly: only signs differ.
     if np.abs(d[::-1] - d.conj()).max() <= tol and _conj_residual(a, a[::-1, ::-1]) <= tol:
         s = a.real + a.real[::-1, ::-1]
-        if np.iscomplexobj(a):
-            s += a.imag[::-1, :]
-            s -= a.imag[:, ::-1]
+        s += a.imag[::-1, :]
+        s -= a.imag[:, ::-1]
         s /= 2.0
-        return s, None
+        return s, _centrohermitian_root
     sub = np.where(a.diagonal(-1) != 0, a.diagonal(-1), 1.0)
     e = np.cumprod(np.concatenate(([1.0 + 0j], sub / np.abs(sub))))
     e /= np.abs(e)  # keeps E unitary: the product's rounding drifts off |e| = 1
     b = np.outer(e.conj(), e)
     np.multiply(a, b, out=b)
     if np.abs(b.imag).max() > tol:
-        return a, None
-    return b.real.copy(), e
+        return a, lambda t: t
+
+    def phase_root(t):   # E T E^H, written into one complex array
+        root = np.outer(e, e.conj())
+        return np.multiply(t, root, out=root)
+    return b.real.copy(), phase_root
 
 
-def _factor_form(a: np.ndarray) -> np.ndarray:
-    """The matrix of :func:`_similar_form`: real symmetric where it can be, else ``a``.
-
-    A real symmetric ``a`` is its own real form: it skips the similarity tests and copies.
-    """
-    if not np.iscomplexobj(a):
-        return _hermitian_and_scale(a)[0]
-    return _similar_form(a)[0]
+def _centrohermitian_root(t: np.ndarray) -> np.ndarray:
+    """U T U^H = (T + J T J)/2 + i (J T - T J)/2 for a real T, written into one complex array."""
+    root = np.empty(t.shape, dtype=complex)
+    re, im = root.real, root.imag
+    np.add(t, t[::-1, ::-1], out=re)
+    re /= 2.0
+    np.subtract(t[::-1, :], t[:, ::-1], out=im)
+    im /= 2.0
+    return root
 
 
 def _clip_psd(values: np.ndarray) -> np.ndarray:
@@ -228,14 +237,14 @@ def psd_eigvals(a: np.ndarray) -> np.ndarray:
 
     Raises :class:`NotPSD` if any eigenvalue is below ``-PSD_RTOL * lambda_max``.
     """
-    return _clip_psd(np.linalg.eigvalsh(_factor_form(a))[::-1])
+    return _clip_psd(np.linalg.eigvalsh(_similar_form(a)[0])[::-1])
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root S of a PSD matrix, with S @ S^H == a.
 
-    The root T of a's real form A (:func:`_similar_form`) is mapped back:
-    a centrohermitian ``a`` gets U T U^H and a phase-similar one E T E^H.
+    The root T of a's form A is mapped back by the map that comes with A
+    (:func:`_similar_form`), so a real ``a``, its own form, gets T, real.
     A real A of numerical rank r <= M/2 - _RANK_MARGIN takes T from its
     pivoted Cholesky factor in O(M^2 r) (:func:`_low_rank_root`), which
     leaves the eigenvalues at the eigensolver's noise floor out of T.
@@ -246,7 +255,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     handled without Cholesky failures, and one below it raises
     :class:`NotPSD`.
     """
-    form, e = _similar_form(a)
+    form, back = _similar_form(a)
     t = _low_rank_root(form)
     if t is None:
         vals, vecs = np.linalg.eigh(form)
@@ -257,24 +266,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
         del u, vecs  # nor the eigenvectors
     else:
         del form
-    return _root_of_form(t, e)
-
-
-def _root_of_form(t: np.ndarray, e: np.ndarray | None) -> np.ndarray:
-    """The root of a from the root ``t`` of its form: E T E^H, U T U^H, or ``t`` if complex."""
-    if e is not None:
-        root = np.outer(e, e.conj())
-        return np.multiply(t, root, out=root)
-    if np.iscomplexobj(t):
-        return t
-    # U T U^H = (T + J T J)/2 + i (J T - T J)/2, written into one complex array.
-    root = np.empty(t.shape, dtype=complex)
-    re, im = root.real, root.imag
-    np.add(t, t[::-1, ::-1], out=re)
-    re /= 2.0
-    np.subtract(t[::-1, :], t[:, ::-1], out=im)
-    im /= 2.0
-    return root
+    return back(t)
 
 
 def condition_number(a: np.ndarray) -> float:
@@ -449,7 +441,7 @@ def log2_det_ipm(r: np.ndarray, c: float) -> float:
     """
     if c < 0:
         raise InvalidParam(f"scale factor must be >= 0, got {c}")
-    a = _factor_form(r)
+    a = _similar_form(r)[0]
     src, kd = a, None
     if not np.iscomplexobj(a) and _lapack() is not None:
         width = _lower_bandwidth(a)

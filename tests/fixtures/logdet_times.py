@@ -59,7 +59,7 @@ def onering(m: int, delta_deg: float) -> np.ndarray:
 
 def pivoted_rank(r: np.ndarray) -> int:
     """The numerical rank dpstrf finds for r's real form, at LAPACK's default tolerance."""
-    return linalg._pivoted_cholesky(linalg._factor_form(r))[2]
+    return linalg._pivoted_cholesky(linalg._similar_form(r)[0])[2]
 
 
 @contextmanager
@@ -98,7 +98,7 @@ def main(sizes) -> None:
     with linalg.one_blas_thread(), linalg.flush_subnormals():
         for m in sizes:
             broadside, endfire = shadowed_gaussian(m, 0.0), shadowed_gaussian(m, 90.0)
-            kd = linalg._lower_bandwidth(linalg._factor_form(broadside))
+            kd = linalg._lower_bandwidth(linalg._similar_form(broadside)[0])
             cells = best_ms((log_det(broadside), {}),
                             (log_det(broadside), {"_BAND_MARGIN": np.inf}),
                             (log_det(endfire), {}), (log_det(broadside), no_lapack),

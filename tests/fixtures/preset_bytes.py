@@ -6,9 +6,13 @@ For each preset NAME the script writes three files to OUTDIR:
   preset at no more than 3 trials and the first 3 values of every grid;
 - ``NAME.preset``: the text that ``chansim preset NAME`` prints.
 
-The 30 presets give 90 files.  Run it on two checkouts, at the same BLAS
-thread setting, and compare the directories to see which bytes a change
-moves.  Run from the repository root:
+The 30 presets give 90 files.  Without names the script also writes
+``fig12c-band.csv`` and its manifest: fig12c at M in {140, 380}, phi in
+{0, 90} deg and sigma_shad in {0, 2} dB, 2 trials.  At phi = 0 there the
+real form is zero beyond lag kd = 45 <= M/2 - 16, so its log-det takes the
+banded factorization, which the trimmed grid (M <= 60) never reaches.  Run
+it on two checkouts, at the same BLAS thread setting, and compare the
+directories to see which bytes a change moves.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/fixtures/preset_bytes.py OUTDIR [PRESET ...]
     PYTHONPATH=src python3 tests/fixtures/preset_bytes.py --compare BEFORE AFTER
@@ -21,17 +25,27 @@ read apart.  It exits 1 when any file differs.
 """
 
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
 from make_preset_golden import trimmed
 
 from chansim import cli
-from chansim.presets import preset_names
+from chansim.presets import preset, preset_names
 from chansim.runner import emit_csv, run_experiment
 
 MAX_TRIALS = 3
 GRID_VALUES = (3, 3, 3, 3)
+BAND_GRIDS = ((140.0, 380.0), (0.0, 90.0), (0.0, 2.0))   # fig12c's m, phi and sigma_shad
+
+
+def band_config():
+    """fig12c on BAND_GRIDS at 2 trials: the points whose log-det factors a band."""
+    cfg = preset("fig12c")
+    sweep, *curves = (dataclasses.replace(s, grid=grid)
+                      for s, grid in zip((cfg.sweep,) + cfg.curves, BAND_GRIDS))
+    return dataclasses.replace(cfg, trials=2, sweep=sweep, curves=tuple(curves))
 
 
 def main(outdir, names):
@@ -40,11 +54,15 @@ def main(outdir, names):
         sys.exit(f"unknown preset(s): {', '.join(unknown)}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    files = 0
+    if not names:
+        emit_csv(run_experiment(band_config()), out / "fig12c-band.csv")
+        files = 2
     names = sorted(set(names)) or preset_names()
     for name in names:
         emit_csv(run_experiment(trimmed(name, MAX_TRIALS, GRID_VALUES)), out / f"{name}.csv")
         cli.main(["preset", name, "--out", str(out / f"{name}.preset")])
-    print(f"wrote {3 * len(names)} files to {out}")
+    print(f"wrote {files + 3 * len(names)} files to {out}")
 
 
 def _relative_change(before: str, after: str) -> float:

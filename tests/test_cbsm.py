@@ -1,11 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from chansim import gbsm
 from chansim.cbsm import (draw_shadowing, exponential_correlation,
-                          exponential_with_shadowing, uncorrelated_with_shadowing)
+                          exponential_with_shadowing, shade, toeplitz,
+                          uncorrelated_with_shadowing)
+from chansim.config import apply_point
 from chansim.errors import InvalidParam
 from chansim.linalg import psd_eigvals, log2_det_ipm
 from chansim.metrics import capacity_ub
+from chansim.presets import preset
+from chansim.registry import build_correlation
 
 
 def test_exponential_rho_zero_is_identity():
@@ -187,3 +195,65 @@ def test_shadowed_exponential_capacity_does_not_depend_on_theta(m, rho):
     # the real form reads 3.1e-12 apart, the complex path 6.7e-12), so theta moves that far.
     tol = 1e-11 if rho == 1.0 else 1e-14
     assert max(caps) - min(caps) <= tol * max(caps)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_toeplitz_is_scipys_from_the_first_column(kind):
+    rng = np.random.default_rng(11)
+    for m in range(1, 401):
+        col = rng.standard_normal(m)
+        if kind == "complex":
+            col = col + 1j * rng.standard_normal(m)
+            col[0] = col[0].real
+        got = toeplitz(col)
+        want = scipy.linalg.toeplitz(col, col.conj())
+        assert got.dtype == want.dtype and got.shape == (m, m)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert got.base is not None and not got.flags.writeable
+
+
+def parent_toeplitz(lags):
+    """The gather of the 2M - 1 lags n - m = -(M-1)..M-1 that the first-column form replaced."""
+    return np.lib.stride_tricks.sliding_window_view(lags, (lags.size + 1) // 2)[::-1]
+
+
+def lag_pair_build(cfg, rng):
+    """Reference copy of each grid model's build on its 2M - 1 lags, one exponential per lag."""
+    m = cfg.m
+    n_minus_m = np.arange(1 - m, m)
+    if cfg.model == "exponential":
+        return cfg.beta * np.array(parent_toeplitz(cfg.rho ** np.abs(n_minus_m)), dtype=float)
+    if cfg.model == "exponential_shadow":
+        f = draw_shadowing(m, cfg.sigma_shad, rng)
+        phase = np.exp(1j * n_minus_m * np.radians(cfg.theta_deg))
+        return shade(parent_toeplitz(cfg.beta * (cfg.rho ** np.abs(n_minus_m) * phase)), f, 20.0)
+    if cfg.model == "onering_ula":
+        delta = np.radians(cfg.delta_deg)
+        quad = gbsm.sized_quadrature(delta, cfg.d_h, m)
+        angles, w = gbsm.onering_nodes(np.radians(cfg.phi_deg), delta, quad)
+        row = np.exp(2j * np.pi * cfg.d_h * np.arange(m)[:, None] * np.sin(angles)[None, :]) @ w
+        row[0] = 1.0
+        row *= cfg.beta
+        return np.array(parent_toeplitz(np.concatenate((row[:0:-1], row.conj()))))
+    assert cfg.model == "gaussian_ula_shadowed" and cfg.num_scatterers == 1
+    f = draw_shadowing(m, cfg.sigma_shad, rng)
+    sigma, phi = np.radians(cfg.sigma_phi_deg), np.radians(cfg.phi_deg)
+    phase = np.exp(2j * np.pi * cfg.d_h * n_minus_m * np.sin(phi))
+    damp = np.exp(-(sigma**2 / 2.0) * (2.0 * np.pi * cfg.d_h * n_minus_m * np.cos(phi)) ** 2)
+    acc = np.zeros(n_minus_m.size, dtype=complex)
+    acc += phase * damp
+    scatterers = 1
+    return shade(parent_toeplitz(cfg.beta * acc[::-1] / scatterers), f, 10.0)
+
+
+@pytest.mark.parametrize("name", ["fig5a", "fig7a", "fig10c", "fig12c"])
+def test_first_column_builds_equal_the_lag_pair_builds_on_the_preset_grid(name):
+    cfg = preset(name)
+    specs = (cfg.sweep,) + cfg.curves
+    for i, values in enumerate(itertools.product(*(s.grid for s in specs))):
+        point = apply_point(cfg, dict(zip((s.param for s in specs), values)))
+        got = build_correlation(point, np.random.default_rng([point.seed, i, 0]))
+        want = lag_pair_build(point, np.random.default_rng([point.seed, i, 0]))
+        # Every value equal; only the sign of a zero may differ (the one-ring diagonal was
+        # conj(row[0]) = beta - 0j and is now row[0] = beta + 0j).
+        assert np.array_equal(got, want), values

@@ -524,12 +524,13 @@ def test_sized_quadrature_floor_growth_and_cap():
     assert nodes(0.5, 1.0, 100) == gbsm.DEFAULT_NODES == 201   # 200 nodes needed
     assert nodes(0.5, 5.0, 100) == 1001
     assert nodes(0.50001, 5.0, 100) == 1002
-    assert nodes(1.0, 10.0, 100) == 4001
-    assert nodes(1.0, 10.0, 101) == nodes(3.0, 10.0, 400) == gbsm.MAX_QUAD_NODES == 4001
+    assert nodes(1.0, 10.0, 100) == gbsm.MAX_QUAD_NODES == 4001
+    # no cap: past the largest solved rule the count still grows with the need
+    assert nodes(1.0, 10.0, 101) == 4041 and nodes(3.0, 10.0, 400) == 48001
     # 4 * 0.25 * d_H * 100 = 100 d_H needed, exact in binary: steps of 50 nodes
     grown = [nodes(0.25, d, 100) for d in np.arange(1.0, 45.0, 0.5)]
     assert grown[:3] == [201, 201, 201] and grown[3:6] == [251, 301, 351]
-    assert grown[-10:] == [4001] * 10 and set(np.diff(grown)) == {0, 50}
+    assert grown[-1] == 4451 and set(np.diff(grown)) == {0, 50}
 
 
 def test_sized_quadrature_never_exceeds_the_201_floor_rule():
@@ -537,7 +538,7 @@ def test_sized_quadrature_never_exceeds_the_201_floor_rule():
         for d in (0.05, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0):
             for m in (1, 2, 5, 10, 16, 20, 60, 100, 220, 380):
                 need = gbsm._nodes_needed(spread, d, m)
-                old = min(max(201, int(np.ceil(need)) + 1), gbsm.MAX_QUAD_NODES)
+                old = max(201, int(np.ceil(need)) + 1)
                 n = gbsm.sized_quadrature(spread, d, m).nodes_per_dim
                 assert min(2 * need, old) <= n <= old
                 assert n == old or (n % 32 == 0 and need <= 80)
@@ -584,34 +585,40 @@ D_H_GRID = np.arange(0.0, 10.01, 0.5)   # the d_H sweep of fig10d and fig12d
 def test_sized_builders_warn_exactly_when_the_cap_binds(monkeypatch, build, spread_deg,
                                                          window):
     # The warning depends only on the node count, so three nodes stand in
-    # for the sized set and the 4001-node eigensolve is not paid.
+    # for the sized set and no large eigensolve is paid.  No cap is left to
+    # bind: every sized count meets the need, so no sized build warns, while
+    # one node fewer than the need still does.
     monkeypatch.setattr(gbsm, "_leggauss", lambda n: np.polynomial.legendre.leggauss(3))
     spread = np.radians(spread_deg)
     key = "delta_phi" if build is onering_ula else "sigma_phi"
-    capped = []
+    counts = []
     for d_h in D_H_GRID:
         quad = gbsm.sized_quadrature(window * spread, d_h, 100)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build(UlaGeometry(m=100, d_h=d_h), phi=0.0, quad=quad, **{key: spread})
-        warned = any(issubclass(w.category, QuadratureWarning) for w in caught)
-        assert warned == (quad.nodes_per_dim == gbsm.MAX_QUAD_NODES)
-        capped.append(warned)
-    # fig12d at sigma = 15 deg needs 628 d_H nodes: capped from d_H = 6.5 on
-    expected = list(D_H_GRID >= 6.5) if spread_deg == 15.0 else [False] * D_H_GRID.size
-    assert capped == expected
+        need = int(np.ceil(gbsm._nodes_needed(window * spread, d_h, 100)))
+        for nodes, warns in ((quad.nodes_per_dim, False), (need - 1, True)):
+            if nodes < 3:
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build(UlaGeometry(m=100, d_h=d_h), phi=0.0, quad=QuadratureConfig(nodes),
+                      **{key: spread})
+            assert any(issubclass(w.category, QuadratureWarning) for w in caught) == warns
+        counts.append(quad.nodes_per_dim)
+    # fig12d at sigma = 15 deg needs 628 d_H nodes: above 4001 from d_H = 6.5 on
+    above = [n > gbsm.MAX_QUAD_NODES for n in counts]
+    assert above == (list(D_H_GRID >= 6.5) if spread_deg == 15.0 else [False] * D_H_GRID.size)
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the 4001-node cap binds and the "
-                                       "Gauss-Legendre sum aliases")
 @pytest.mark.parametrize("d_h", [8.5, 10.0])
 def test_fig12d_capped_rows_reach_the_uncorrelated_limit(d_h):
     # sigma_phi = 15 deg, phi = 0, M = 100: a 2e6-point trapezoid puts every off-diagonal
-    # entry below 1.4e-8, so C_ub is the uncorrelated limit at eta = 10^6
+    # entry below 1.4e-8, so C_ub is the uncorrelated limit at eta = 10^6.  These rows
+    # need more than 4001 nodes and take panels of the 4001-node rule, without a warning.
     cfg = apply_point(preset("fig12d"), {"d_h": d_h, "sigma_phi": 15.0})
     assert (cfg.m, cfg.phi_deg, cfg.snr_db) == (100, 0.0, 60.0)
-    with pytest.warns(QuadratureWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
         value = trial_value(cfg, np.random.default_rng(0))
     assert value == pytest.approx(100 * np.log2(1 + 1e4), rel=1e-9, abs=0)
 

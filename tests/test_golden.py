@@ -16,6 +16,7 @@ percent with the thread count, so those rows are only checked to be in
 that regime.
 """
 
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from chansim import linalg
 from chansim.presets import preset_names
 from chansim.runner import emit_csv, run_experiment
 
@@ -87,6 +89,28 @@ def test_preset_bytes_writes_csv_manifest_and_preset_text(tmp_path):
     cli = subprocess.run([sys.executable, "-m", "chansim.cli", "preset", "fig5a"],
                          capture_output=True)
     assert (out / "fig5a.preset").read_bytes() == cli.stdout
+
+
+def test_preset_bytes_default_run_reaches_the_banded_log_det(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(FIXTURES))
+    preset_bytes = importlib.import_module("preset_bytes")
+    out = tmp_path / "out"
+    preset_bytes.main(out, [])
+    assert len(list(out.iterdir())) == 3 * len(preset_names()) + 2
+    bands, factor = [], linalg._cholesky_diagonal
+
+    def spy(a, scale, shift, kd=None):
+        bands.append(kd)
+        return factor(a, scale, shift, kd)
+
+    monkeypatch.setattr(linalg, "_cholesky_diagonal", spy)
+    want = tmp_path / "band.csv"
+    emit_csv(run_experiment(preset_bytes.band_config()), want)
+    assert (out / "fig12c-band.csv").read_bytes() == want.read_bytes()
+    assert (out / "fig12c-band.csv.manifest").read_bytes() == Path(f"{want}.manifest").read_bytes()
+    # At phi = 0 the guard and the value factor the kd = 45 band: 4 points, 2 trials each.
+    # At phi = 90 deg the real form is dense.
+    assert bands.count(45) == 16 and set(bands) == {45, None}
 
 
 def test_preset_bytes_compare_lists_changed_cells(tmp_path):

@@ -64,7 +64,7 @@ def test_log_det_holds_one_complex_copy_above_its_input():
 
 def test_banded_log_det_holds_one_complex_copy_above_its_input():
     r = banded_380()
-    assert linalg._lower_bandwidth(linalg._factor_form(r)) == 45
+    assert linalg._lower_bandwidth(linalg._similar_form(r)[0]) == 45
     with linalg.flush_subnormals():
         _, peak = traced_peak_mib(linalg.log2_det_ipm, r, 100.0)
     # The Hermitian check's 3.31 MiB again; the band, its index and its work array
@@ -74,7 +74,7 @@ def test_banded_log_det_holds_one_complex_copy_above_its_input():
 
 @pytest.mark.parametrize("kd", [None, 45])
 def test_factorization_holds_one_work_array(kd):
-    a = linalg._factor_form(banded_380())
+    a = linalg._similar_form(banded_380())[0]
     src = a if kd is None else linalg._lower_band(a, kd)
     diagonal, peak = traced_peak_mib(linalg._cholesky_diagonal, src, 100.0, 1.0, kd)
     assert diagonal is not None
@@ -113,7 +113,7 @@ def hermitian_inputs():
     banded = banded_380()
     mats = {"onering": onering, "shadowed": shadowed, "random": a @ a.conj().T,
             "real": cbsm.exponential_correlation(10, 0.6),
-            "banded": banded, "real-banded": linalg._factor_form(banded)}
+            "banded": banded, "real-banded": linalg._similar_form(banded)[0]}
     cases = {}
     for name, r in mats.items():
         fortran, one = np.asfortranarray(r), r[:1, :1].copy()

@@ -199,11 +199,17 @@ def test_log_det_matches_eigen_domain_on_low_rank(m, rank, seed, c, toeplitz):
     else:
         b = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
     r = b @ b.conj().T
-    assert (linalg._factor_form(r).dtype == float) >= toeplitz
+    assert (linalg._similar_form(r)[0].dtype == float) >= toeplitz
     want = float(np.sum(np.log2(1.0 + c * np.clip(np.linalg.eigvalsh(r), 0.0, None))))
     assert abs(log2_det_ipm(r, c) - want) <= 1e-8 * abs(want)
     # capacity_single takes the Gram matrix of B: the same nonzero spectrum
     assert abs(capacity_single(b, c * m) - want) <= 1e-8 * abs(want)
+
+
+def phase_form(r):
+    """True when r takes the phase real form E^H r E: complex, real form, not centrohermitian."""
+    s, back = linalg._similar_form(r)
+    return np.iscomplexobj(r) and s.dtype == float and back is not linalg._centrohermitian_root
 
 
 def hermitian_toeplitz(col):
@@ -252,9 +258,13 @@ def test_real_form_is_the_unitary_similarity(name):
     r = CENTROHERMITIAN[name]
     m = r.shape[0]
     u = (np.eye(m) + 1j * np.eye(m)[::-1]) / np.sqrt(2.0)
-    s = linalg._factor_form(r)
+    s, back = linalg._similar_form(r)
     assert s.dtype == float
     assert np.abs(s - (u.conj().T @ r @ u).real).max() <= 1e-15 * np.abs(r).max()
+    if np.iscomplexobj(r):
+        assert back is linalg._centrohermitian_root
+    else:   # a real symmetric input is its own form
+        assert s is r and back(s) is s
 
 
 def phase_form_cases():
@@ -276,9 +286,13 @@ PHASE_FORM = dict(phase_form_cases())
 @pytest.mark.parametrize("name", sorted(PHASE_FORM))
 def test_phase_form_is_the_unitary_similarity(name):
     r = PHASE_FORM[name]
-    s, e = linalg._similar_form(r)
-    assert s.dtype == float and e is not None
-    assert np.array_equal(linalg._factor_form(r), s)
+    s, back = linalg._similar_form(r)
+    assert s.dtype == float
+    if not np.iscomplexobj(r):   # uncorrelated-20: a real symmetric input is its own form
+        assert s is r and back(s) is s
+        return
+    assert phase_form(r)
+    e = back(np.ones(s.shape))[:, 0]   # E 1 1^T E^H = e e^H, and e[0] = 1
     assert np.abs(np.abs(e) - 1.0).max() <= 1e-13
     big_e = np.diag(e)
     assert np.abs(s - (big_e.conj().T @ r @ big_e).real).max() <= 1e-15 * np.abs(r).max()
@@ -298,10 +312,11 @@ def test_psd_sqrt_is_a_hermitian_root_on_both_paths(name):
         r = shadowed_gaussian(1)
     else:
         r = random_psd(16, np.random.default_rng(21))
-    real_path = linalg._factor_form(r).dtype == float
+    real_path = linalg._similar_form(r)[0].dtype == float
     assert real_path == (name in CENTROHERMITIAN or name in PHASE_FORM)
     s = psd_sqrt(r)
-    assert s.dtype == complex
+    # a real input is its own form and gets that form's real root
+    assert s.dtype == (complex if np.iscomplexobj(r) else float)
     check_hermitian(s)
     assert np.abs(s @ s.conj().T - r).max() <= 1e-9 * psd_eigvals(r)[0]
 
@@ -312,7 +327,7 @@ def test_psd_sqrt_is_a_hermitian_root_on_both_paths(name):
                          ids=["psd_sqrt", "psd_eigvals", "log2_det_ipm"])
 def test_indefinite_toeplitz_raises_on_real_path(fn, col):
     r = hermitian_toeplitz(col)
-    assert linalg._factor_form(r).dtype == float
+    assert linalg._similar_form(r)[0].dtype == float
     assert np.linalg.eigvalsh(r)[0] < -0.1
     with pytest.raises(NotPSD):
         fn(r)
@@ -330,7 +345,7 @@ def indefinite_phase_form():
                          ids=["psd_sqrt", "psd_eigvals", "log2_det_ipm"])
 def test_indefinite_phase_form_raises_on_real_path(fn):
     r = indefinite_phase_form()
-    assert linalg._similar_form(r)[1] is not None
+    assert phase_form(r)
     assert np.linalg.eigvalsh(r)[0] < -0.1
     with pytest.raises(NotPSD):
         fn(r)
@@ -370,7 +385,7 @@ def complex_log2_det_ipm(r, c):
 @pytest.mark.parametrize("seed", range(4))
 def test_shadowed_matrix_keeps_the_complex_path_bit_for_bit(seed):
     r = shadowed_gaussian(seed)
-    assert linalg._factor_form(r).dtype == complex
+    assert linalg._similar_form(r)[0].dtype == complex
     assert np.array_equal(psd_sqrt(r), complex_psd_sqrt(r))
     assert np.array_equal(psd_eigvals(r), complex_psd_eigvals(r))
     for c in (0.0, 1e-3, 25.0, 1e6):
@@ -419,7 +434,7 @@ def oracle_tolerance(r, c):
 def test_shadowed_log_det_matches_40_digit_determinant(name, eta):
     r = ORACLE[name]
     c = eta / r.shape[0]
-    assert linalg._similar_form(r)[1] is not None
+    assert phase_form(r)
     want = log2_det_40_digits(r, c)
     tol = oracle_tolerance(r, c)
     assert abs(log2_det_ipm(r, c) - want) <= tol
@@ -555,7 +570,7 @@ def test_indefinite_banded_matrix_raises(complex_input, factorizations):
     if complex_input:
         e = np.exp(0.4j * np.arange(m))
         r = e[:, None] * r * e.conj()
-        assert linalg._similar_form(r)[1] is not None
+        assert phase_form(r)
     assert np.linalg.eigvalsh(r)[0] < -2.0
     with pytest.raises(NotPSD):
         log2_det_ipm(r, 1.0)
@@ -583,17 +598,18 @@ def fig15_cluster(m=100, phi=0.3, delta_deg=10.0):
 
 
 def eigen_psd_sqrt(a):
-    """Reference copy of the eigen path: eigh of the real form, clipped, mapped back."""
-    form, e = linalg._similar_form(a)
+    """Reference copy of the eigen path: eigh of the form, clipped, mapped back."""
+    form, back = linalg._similar_form(a)
     vals, vecs = np.linalg.eigh(form)
     lam = linalg._clip_psd(vals[::-1])
     u = vecs[:, ::-1]
     t = (u * np.sqrt(lam)) @ u.conj().T
-    if e is not None:
+    if phase_form(a):
+        e = back(np.ones(t.shape))[:, 0]   # E 1 1^T E^H = e e^H, and e[0] = 1
         return t * np.outer(e, e.conj())
-    if np.iscomplexobj(t):
-        return t
-    return (t + t[::-1, ::-1]) / 2.0 + 1j * (t[::-1, :] - t[:, ::-1]) / 2.0
+    if back is linalg._centrohermitian_root:
+        return (t + t[::-1, ::-1]) / 2.0 + 1j * (t[::-1, :] - t[:, ::-1]) / 2.0
+    return t   # a real input, or the complex fallback
 
 
 def guard_probe(mu, m=40):
@@ -634,10 +650,26 @@ def test_psd_sqrt_takes_the_low_rank_path_only_where_it_applies(name, sqrt_paths
         assert np.array_equal(s, eigen_psd_sqrt(r))
 
 
+@pytest.mark.parametrize("rho, path", [(0.5, "eigen"), (0.95, "eigen"), (1.0, "low-rank")])
+def test_psd_sqrt_of_a_real_input_is_the_real_root_of_the_input(rho, path, sqrt_paths):
+    # A real symmetric matrix is its own form: the root is the one taken from it, real.
+    a = exponential_correlation(100, rho)
+    s = psd_sqrt(a)
+    assert sqrt_paths == [path] and s.dtype == float
+    if path == "low-rank":
+        want = linalg._low_rank_root(a)
+    else:
+        vals, vecs = np.linalg.eigh(a)
+        u = vecs[:, ::-1]
+        want = (u * np.sqrt(linalg._clip_psd(vals[::-1]))) @ u.conj().T
+    assert np.array_equal(s, want)
+    assert np.abs(s @ s.T - a).max() <= 1e-9 * psd_eigvals(a)[0]
+
+
 def test_guard_probe_is_inside_the_noise_band_below_tau():
     # so that the probe reaches the guard (rank 1 <= M/2 - 8) and the guard alone sends it on
     r = guard_probe(2e-7)
-    assert linalg._pivoted_cholesky(linalg._factor_form(r))[2] == 1
+    assert linalg._pivoted_cholesky(linalg._similar_form(r)[0])[2] == 1
     lam = np.linalg.eigvalsh(r)
     assert -PSD_RTOL * lam[-1] < lam[0] < -PSD_RTOL
     assert psd_eigvals(r)[-1] == 0.0

@@ -59,6 +59,32 @@ def test_worker_count_independence(tmp_path):
     assert p1.read_bytes() == p3.read_bytes()
 
 
+# Correlated draws through registry._channels, which no preset reaches: the exponential
+# model is a real input rooted by eigh, the 10 deg one-ring one is rooted at its pivoted
+# Cholesky rank (about 30 of 100).
+CORRELATED_DRAWS = {
+    "exponential": dict(model="exponential", rho=0.5),
+    "onering_ula": dict(model="onering_ula", delta_deg=10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRELATED_DRAWS))
+def test_correlated_draws_have_the_trace_of_their_correlation(name):
+    # At snr_db = -40, log2(1 + (eta/M)|h|^2) = (eta/M)|h|^2 / ln2 up to a relative term of
+    # about (eta/M)|h|^2 / 2 = 5e-5 beta, so mean * ln2 * M / eta estimates E|h|^2 = tr R =
+    # M beta.  Under CN(0, R), |h|^2 has variance tr R^2 = ||R||_F^2.
+    cfg = ExperimentConfig(metric="ergodic_capacity", snr_db=-40.0, m=100, trials=400,
+                           sweep=SweepSpec("beta", (1.0, 2.5)), **CORRELATED_DRAWS[name])
+    result = run_experiment(cfg)
+    eta = db_to_linear(cfg.snr_db)
+    for row in result.rows:
+        r = build_correlation(dataclasses.replace(cfg, beta=row[0]), np.random.default_rng(0))
+        trace, stderr = np.trace(r).real, np.linalg.norm(r) / np.sqrt(cfg.trials)
+        assert trace == pytest.approx(cfg.m * row[0], rel=1e-12)
+        assert abs(row[1] * np.log(2.0) * cfg.m / eta - trace) <= 4 * stderr + 1e-3 * trace
+    assert format_csv(run_experiment(dataclasses.replace(cfg, workers=2))) == format_csv(result)
+
+
 # Near-rank-deficient one-ring matrices: multi-threaded and single-threaded
 # eigensolvers give log-dets that differ in the 11th digit.
 ONERING = """
