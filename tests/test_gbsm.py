@@ -574,6 +574,23 @@ def test_sized_count_converges_below_201_nodes(case):
     assert capacity_ub(r, 1e6) == pytest.approx(capacity_ub(ref, 1e6), rel=1e-10, abs=0)
 
 
+def test_leggauss_tiles_the_largest_solved_rule_over_equal_panels(monkeypatch):
+    # A 40-node stand-in for MAX_QUAD_NODES keeps the eigensolve cheap; the cache is
+    # cleared on both sides so that no stand-in rule outlives the test.
+    monkeypatch.setattr(gbsm, "MAX_QUAD_NODES", 40)
+    gbsm._leggauss.cache_clear()
+    try:
+        x, w = gbsm._leggauss(81)   # 3 panels of the 40-node rule on [-1, 1]
+        x40, w40 = np.polynomial.legendre.leggauss(40)
+    finally:
+        gbsm._leggauss.cache_clear()
+    assert x.size == w.size == 120 and -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
+    assert np.array_equal(w, np.tile(w40 / 3, 3))
+    assert np.abs(x - (np.repeat([-2.0, 0.0, 2.0], 40) + np.tile(x40, 3)) / 3).max() <= 1e-15
+    k = 60.0   # an integrand with about 19 oscillations over the window
+    assert abs(w @ np.cos(k * x) - 2.0 * np.sin(k) / k) <= 1e-13
+
+
 D_H_GRID = np.arange(0.0, 10.01, 0.5)   # the d_H sweep of fig10d and fig12d
 
 
