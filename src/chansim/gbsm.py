@@ -96,7 +96,7 @@ def _leggauss(n: int):
     """Gauss-Legendre rule on [-1, 1]: n nodes, or MAX_QUAD_NODES on each of ceil(n/MAX) panels."""
     if n <= MAX_QUAD_NODES:
         return np.polynomial.legendre.leggauss(n)
-    panels = -(-n // MAX_QUAD_NODES)
+    panels = int(np.ceil(n / MAX_QUAD_NODES))
     x, w = _leggauss(MAX_QUAD_NODES)
     mids = np.arange(1 - panels, panels, 2) / panels
     return (mids[:, None] + x / panels).ravel(), np.tile(w / panels, panels)
