@@ -39,13 +39,12 @@ def main():
     print("cluster visibility spans on a 100-antenna array")
     scenario = xlmimo.build_scenario("scheme1", num_users=2, clusters_per_user=2,
                                      r_bounds=(5.0, 10.0), rng=rng, d1=35.0)
-    for k, clusters in enumerate(scenario.clusters):
-        for c in clusters:
-            span = c.vr_span
-            print("user %d: cluster at (%.1f, %.1f) m, antennas %d..%d, "
-                  "%d of %d visible"
-                  % (k, c.center[0], c.center[1], span.start + 1, span.stop,
-                     int(c.vr_mask.sum()), len(c.vr_mask)))
+    for k, c in np.ndindex(scenario.vr_center.shape):
+        center, span = scenario.centers[k, c], np.flatnonzero(scenario.vr[k, c])
+        print("user %d: cluster at (%.1f, %.1f) m, antennas %d..%d, "
+              "%d of %d visible"
+              % (k, center[0], center[1], span[0] + 1, span[-1] + 1,
+                 int((scenario.vr[k, c] == 1).sum()), len(span)))
 
 
 if __name__ == "__main__":

@@ -159,7 +159,7 @@ def xl_sinr_noise_power(cfg) -> float:
 
 
 def xl_scenario(cfg, rng: np.random.Generator) -> xlmimo.XlScenario:
-    """One draw of the configured XL geometry: clusters, radii and VR masks."""
+    """One draw of the configured XL geometry: cluster centers and VR arrays per user."""
     return xlmimo.build_scenario(cfg.xl_scheme, cfg.num_users, cfg.clusters_per_user, rng,
                                  m=cfg.m, correlation=cfg.xl_correlation, rho=cfg.rho,
                                  delta=np.radians(cfg.delta_deg),

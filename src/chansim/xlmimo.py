@@ -7,6 +7,10 @@ then assemble each user's channel as the sum over clusters of the
 Hadamard product between the path-loss amplitude vector and a spatially
 correlated small-scale fading draw.
 
+A scenario holds K users' C clusters as (K, C, ...) arrays, and path loss
+is one (K, C, M) expression; only the VR chains and the fading draws run
+cluster by cluster, in user-then-cluster order.
+
 The array lies on the x-axis, centered at the origin.  Cluster and user
 positions are 2-D coordinates in meters; the azimuth convention is
 phi = 0 at broadside (the +y direction), so sin(phi) spans the array axis.
@@ -67,24 +71,6 @@ def antenna_positions(geom: UlaGeometry) -> np.ndarray:
     return positions
 
 
-@dataclass
-class Cluster:
-    """A scatterer cluster with its visibility region along the array."""
-
-    center: np.ndarray          # (2,) meters
-    radius: float
-    vr_mask: np.ndarray         # binary, length M_VR (possibly truncated to M)
-    vr_lo: int = 0              # first antenna index (0-based) of the VR span
-
-    @property
-    def vr_span(self) -> slice:
-        return slice(self.vr_lo, self.vr_lo + len(self.vr_mask))
-
-    @property
-    def vr_center_antenna(self) -> int:
-        return self.vr_lo + len(self.vr_mask) // 2
-
-
 def sums_to_one(p0: float, p1: float) -> bool:
     """p0 + p1 == 1 as np.isclose decides it by default: |s - 1| <= 1e-8 + 1e-5, NaN false."""
     return abs(p0 + p1 - 1.0) <= 1e-8 + 1e-5
@@ -134,8 +120,8 @@ def vr_mask_chain(m_vr: int, p0: float, p1: float, c: float,
 def place_clusters(scheme: str, num_users: int, clusters_per_user: int,
                    r_bounds: tuple[float, float], rng: np.random.Generator,
                    array_length: float, d1: float = 35.0,
-                   d2: float = 20.0) -> list[list[tuple[np.ndarray, float]]]:
-    """Cluster centers and radii for each user, without visibility data.
+                   d2: float = 20.0) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster centers (K, C, 2) and radii (K, C), without visibility data.
 
     Scheme 1 puts every cluster at distance ``d1`` from the array center,
     with azimuth uniform over ``SCHEME1_ARC``, +/-60 degrees about
@@ -143,8 +129,8 @@ def place_clusters(scheme: str, num_users: int, clusters_per_user: int,
     perpendicular distance ``d2``, horizontal coordinate uniform over the
     array extent.
 
-    Returns a list (per user) of (center, radius) pairs; visibility masks
-    and VR positions are attached by the scenario builder.
+    One draw gives each cluster its (azimuth or x, radius) pair, in user
+    then cluster order: the same doubles as one scalar draw each.
     """
     if scheme not in CLUSTER_SCHEMES:
         raise InvalidParam(f"unknown cluster scheme {scheme!r}")
@@ -155,19 +141,14 @@ def place_clusters(scheme: str, num_users: int, clusters_per_user: int,
     r_min, r_max = r_bounds
     if not 0 < r_min <= r_max:
         raise InvalidParam(f"invalid radius bounds {r_bounds}")
-    out = []
-    for _ in range(num_users):
-        per_user = []
-        for _ in range(clusters_per_user):
-            if scheme == "scheme1":
-                az = rng.uniform(*SCHEME1_ARC)
-                center = np.array([d1 * np.sin(az), d1 * np.cos(az)])
-            else:
-                x = rng.uniform(-array_length / 2.0, array_length / 2.0)
-                center = np.array([x, d2])
-            per_user.append((center, rng.uniform(r_min, r_max)))
-        out.append(per_user)
-    return out
+    lo, hi = SCHEME1_ARC if scheme == "scheme1" else (-array_length / 2.0, array_length / 2.0)
+    draws = rng.uniform((lo, r_min), (hi, r_max), size=(num_users, clusters_per_user, 2))
+    where, radii = draws[..., 0], draws[..., 1]
+    if scheme == "scheme1":
+        centers = np.stack([d1 * np.sin(where), d1 * np.cos(where)], axis=-1)
+    else:
+        centers = np.stack([where, np.full_like(where, d2)], axis=-1)
+    return centers, radii
 
 
 def position_vr(center: np.ndarray, m_vr: int, geom: UlaGeometry) -> int:
@@ -183,31 +164,6 @@ def position_vr(center: np.ndarray, m_vr: int, geom: UlaGeometry) -> int:
     return max(0, min(lo, geom.m - m_vr))
 
 
-def pathloss_per_antenna(cluster: Cluster, user: np.ndarray,
-                         geom: UlaGeometry) -> np.ndarray:
-    """Per-antenna linear amplitude gains for one cluster-user link.
-
-    d(n) is the cluster-to-antenna distance plus the user-to-cluster
-    distance.  Antennas inside the positioned VR span use ``ALPHA_VR`` (with
-    amplitude zero where the mask marks an obstruction); antennas outside
-    use ``ALPHA_NVR``.  ``NORMALIZATION`` enters as a linear power factor.
-    """
-    positions = antenna_positions(geom)
-    cx, cy = cluster.center
-    d = np.hypot(positions - cx, cy) + np.hypot(cx - user[0], cy - user[1])
-    if np.any(d < D0):
-        warnings.warn("link distance below reference distance, clamping", stacklevel=2)
-        d = np.maximum(d, D0)
-    alpha = np.full(geom.m, ALPHA_NVR)
-    alpha[cluster.vr_span] = ALPHA_VR
-    loss_db = L0_DB - 10.0 * alpha * np.log10(d / D0)
-    amp = np.sqrt(10.0 ** (loss_db / 10.0) * NORMALIZATION)
-    obstructed = np.zeros(geom.m, dtype=bool)
-    obstructed[cluster.vr_span] = cluster.vr_mask == 0
-    amp[obstructed] = 0.0
-    return amp
-
-
 # Antenna spacing (wavelengths) inside the cluster correlation model: the
 # stationary-model value 0.5, kept even though the physical XL array is
 # 5-wavelength spaced, since the correlation matrices are built like the
@@ -218,11 +174,14 @@ CLUSTER_CORR_QUADRATURE = QuadratureConfig(nodes_per_dim=101)
 
 @dataclass
 class XlScenario:
-    """One realization of the XL-MIMO geometry: users, clusters, correlation kind."""
+    """One realization of the XL-MIMO geometry: K users, C clusters each, correlation kind."""
 
     geometry: UlaGeometry
     users: np.ndarray                       # (K, 2) meters
-    clusters: list[list[Cluster]]           # per user
+    centers: np.ndarray                     # (K, C, 2) meters
+    vr: np.ndarray                          # (K, C, M) int8: 0 outside the VR span,
+                                            # 1 visible, -1 obstructed
+    vr_center: np.ndarray                   # (K, C) antenna in the middle of the span
     correlation: str                        # one of CLUSTER_CORRELATIONS
     rho: float                              # exponential correlation coefficient
     delta: float                            # one-ring angular spread, radians
@@ -239,44 +198,69 @@ def build_scenario(scheme: str, num_users: int, clusters_per_user: int,
                    r_bounds: tuple[float, float] = (5.0, 10.0),
                    p0: float = 0.05, p1: float = 0.95, c: float = 0.05,
                    d1: float = 35.0, d2: float = 20.0) -> XlScenario:
-    """Draw one complete scenario: cluster placement, radii, VR masks, spans.
+    """Draw one complete scenario: one placement draw, then a VR chain per cluster.
 
     ``m`` antennas are spaced 5 wavelengths of 0.125 m (2.4 GHz), every user
     sits 40 m out on broadside, and path loss follows ``L0_DB``, ``D0``,
     ``ALPHA_VR``, ``ALPHA_NVR`` and ``NORMALIZATION``.  The exponential
     ``correlation`` reads ``rho``; the one-ring one reads ``delta`` (radians).
+    The chains run in user-then-cluster order, each as long as its radius sets.
     """
     if correlation not in CLUSTER_CORRELATIONS:
         raise InvalidParam(f"unknown correlation kind {correlation!r}")
     geometry = UlaGeometry(m=m, d_h=VR_SPACING_WAVELENGTHS)
     users = np.tile([0.0, DEFAULT_USER_DISTANCE], (num_users, 1))
     l_bs = (m - 1) * VR_SPACING_WAVELENGTHS * DEFAULT_WAVELENGTH
-    placed = place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, l_bs,
-                            d1=d1, d2=d2)
-    clusters: list[list[Cluster]] = []
-    for per_user in placed:
-        row = []
-        for center, radius in per_user:
-            # A VR as long as the array covers it all, as any VR covers one antenna (l_bs = 0).
-            m_vr = m if 2.0 * radius >= l_bs else int(np.ceil(m * 2.0 * radius / l_bs))
-            mask = vr_mask_chain(m_vr, p0, p1, c, rng)
-            lo = position_vr(center, m_vr, geometry)
-            row.append(Cluster(center=center, radius=radius, vr_mask=mask, vr_lo=lo))
-        clusters.append(row)
-    return XlScenario(geometry=geometry, users=users, clusters=clusters,
-                      correlation=correlation, rho=rho, delta=delta)
+    centers, radii = place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, l_bs,
+                                    d1=d1, d2=d2)
+    vr = np.zeros(radii.shape + (m,), dtype=np.int8)
+    vr_center = np.zeros(radii.shape, dtype=int)
+    for k, j in np.ndindex(radii.shape):
+        radius = radii[k, j]
+        # A VR as long as the array covers it all, as any VR covers one antenna (l_bs = 0).
+        m_vr = m if 2.0 * radius >= l_bs else int(np.ceil(m * 2.0 * radius / l_bs))
+        mask = vr_mask_chain(m_vr, p0, p1, c, rng)
+        lo = position_vr(centers[k, j], m_vr, geometry)
+        vr[k, j, lo:lo + m_vr] = 2 * mask - 1
+        vr_center[k, j] = lo + m_vr // 2
+    return XlScenario(geometry=geometry, users=users, centers=centers, vr=vr,
+                      vr_center=vr_center, correlation=correlation, rho=rho, delta=delta)
 
 
-def cluster_correlation_matrix(scenario: XlScenario, cluster: Cluster) -> np.ndarray | None:
-    """Correlation matrix for one cluster, or None for the uncorrelated model."""
+def pathloss(scenario: XlScenario) -> np.ndarray:
+    """Per-antenna linear amplitude gains (K, C, M) of every cluster-user link.
+
+    d(n) is the cluster-to-antenna distance plus the user-to-cluster
+    distance.  Antennas inside a VR span use ``ALPHA_VR`` (with amplitude
+    zero where the chain marked an obstruction); antennas outside use
+    ``ALPHA_NVR``.  ``NORMALIZATION`` enters as a linear power factor.
+    Links shorter than ``D0`` are clamped to it, with one warning per call.
+    """
+    positions = antenna_positions(scenario.geometry)
+    cx, cy = scenario.centers[..., 0, None], scenario.centers[..., 1, None]
+    ux, uy = scenario.users[:, None, None, 0], scenario.users[:, None, None, 1]
+    d = np.hypot(positions - cx, cy) + np.hypot(cx - ux, cy - uy)
+    if np.any(d < D0):
+        warnings.warn("link distance below reference distance, clamping", stacklevel=2)
+        d = np.maximum(d, D0)
+    alpha = np.where(scenario.vr != 0, ALPHA_VR, ALPHA_NVR)
+    loss_db = L0_DB - 10.0 * alpha * np.log10(d / D0)
+    amp = np.sqrt(10.0 ** (loss_db / 10.0) * NORMALIZATION)
+    amp[scenario.vr < 0] = 0.0
+    return amp
+
+
+def cluster_correlation_matrix(scenario: XlScenario, k: int, c: int) -> np.ndarray | None:
+    """Correlation matrix for user k's cluster c, or None for the uncorrelated model."""
     m = scenario.geometry.m
     if scenario.correlation == "uncorrelated":
         return None
     if scenario.correlation == "exponential":
         return exponential_correlation(m, scenario.rho)
     positions = antenna_positions(scenario.geometry)
-    vr_center = positions[cluster.vr_center_antenna]
-    phi = np.arctan2(cluster.center[0] - vr_center, cluster.center[1])
+    vr_center = positions[scenario.vr_center[k, c]]
+    cx, cy = scenario.centers[k, c]
+    phi = np.arctan2(cx - vr_center, cy)
     geom = UlaGeometry(m=m, d_h=CLUSTER_CORR_SPACING)
     return onering_ula(geom, phi=phi, delta_phi=scenario.delta, quad=CLUSTER_CORR_QUADRATURE)
 
@@ -294,17 +278,11 @@ def cluster_channel(beta: np.ndarray, r: np.ndarray | None,
     return beta * (psd_sqrt(r) @ z)
 
 
-def user_channel(scenario: XlScenario, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Channel vector of user k: sum over that user's clusters."""
-    h = np.zeros(scenario.geometry.m, dtype=complex)
-    for cluster in scenario.clusters[k]:
-        beta = pathloss_per_antenna(cluster, scenario.users[k], scenario.geometry)
-        r = cluster_correlation_matrix(scenario, cluster)
-        h += cluster_channel(beta, r, rng)
-    return h
-
-
 def assemble_channel_matrix(scenario: XlScenario, rng: np.random.Generator) -> np.ndarray:
-    """M x K channel matrix with one fresh small-scale draw per user."""
-    return np.column_stack([user_channel(scenario, k, rng)
-                            for k in range(scenario.num_users)])
+    """M x K channel matrix: column k sums user k's clusters, each with a fresh draw."""
+    amp = pathloss(scenario)
+    h = np.zeros((scenario.geometry.m, scenario.num_users), dtype=complex)
+    for k, c in np.ndindex(amp.shape[:2]):
+        r = cluster_correlation_matrix(scenario, k, c)
+        h[:, k] += cluster_channel(amp[k, c], r, rng)
+    return h

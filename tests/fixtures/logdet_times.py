@@ -31,6 +31,14 @@ is the ``eigh`` path for every matrix:
 Run from the repository root:
 
     PYTHONPATH=src python3 tests/fixtures/logdet_times.py [M ...]
+
+The best of 7 rounds shields a table from a short burst of load, not from
+load that lasts the whole run: on a shared 2-core machine two back-to-back
+runs of the same code read 0.415 and 0.662 ms for one cell, with every
+complex-input column of the slower run 9-60% high.  So one run's table
+does not compare with another's.  To compare two checkouts, run the whole
+script several times on each, alternating between them, and compare the
+runs.
 """
 
 import sys

@@ -6,12 +6,18 @@ For each preset NAME the script writes three files to OUTDIR:
   preset at no more than 3 trials and the first 3 values of every grid;
 - ``NAME.preset``: the text that ``chansim preset NAME`` prints.
 
-The 30 presets give 90 files.  Without names the script also writes
-``fig12c-band.csv`` and its manifest: fig12c at M in {140, 380}, phi in
-{0, 90} deg and sigma_shad in {0, 2} dB, 2 trials.  At phi = 0 there the
-real form is zero beyond lag kd = 45 <= M/2 - 16, so its log-det takes the
-banded factorization, which the trimmed grid (M <= 60) never reaches.  Run
-it on two checkouts, at the same BLAS thread setting, and compare the
+The 30 presets give 90 files.  Without names the script also writes two
+CSVs, each with its manifest, for paths that no trimmed preset reaches:
+
+- ``fig12c-band.csv``: fig12c at M in {140, 380}, phi in {0, 90} deg and
+  sigma_shad in {0, 2} dB, 2 trials.  At phi = 0 there the real form is
+  zero beyond lag kd = 45 <= M/2 - 16, so its log-det takes the banded
+  factorization, which the trimmed grid (M <= 60) never reaches.
+- ``fig15c-kinds.csv``: fig15c at K in {1, 5} for each XL cluster
+  correlation (uncorrelated, exponential, onering), 2 trials.  No preset
+  runs the exponential kind.
+
+Run it on two checkouts, at the same BLAS thread setting, and compare the
 directories to see which bytes a change moves.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/fixtures/preset_bytes.py OUTDIR [PRESET ...]
@@ -31,21 +37,32 @@ from pathlib import Path
 
 from make_preset_golden import trimmed
 
-from chansim import cli
+from chansim import cli, xlmimo
 from chansim.presets import preset, preset_names
 from chansim.runner import emit_csv, run_experiment
 
 MAX_TRIALS = 3
 GRID_VALUES = (3, 3, 3, 3)
 BAND_GRIDS = ((140.0, 380.0), (0.0, 90.0), (0.0, 2.0))   # fig12c's m, phi and sigma_shad
+KINDS_GRIDS = ((1.0, 5.0), xlmimo.CLUSTER_CORRELATIONS)    # fig15c's num_users and correlation
+
+
+def _regridded(name, grids):
+    """Preset ``name`` at 2 trials, its sweep and curves taking ``grids`` in order."""
+    cfg = preset(name)
+    sweep, *curves = (dataclasses.replace(s, grid=grid)
+                      for s, grid in zip((cfg.sweep,) + cfg.curves, grids))
+    return dataclasses.replace(cfg, trials=2, sweep=sweep, curves=tuple(curves))
 
 
 def band_config():
     """fig12c on BAND_GRIDS at 2 trials: the points whose log-det factors a band."""
-    cfg = preset("fig12c")
-    sweep, *curves = (dataclasses.replace(s, grid=grid)
-                      for s, grid in zip((cfg.sweep,) + cfg.curves, BAND_GRIDS))
-    return dataclasses.replace(cfg, trials=2, sweep=sweep, curves=tuple(curves))
+    return _regridded("fig12c", BAND_GRIDS)
+
+
+def kinds_config():
+    """fig15c on KINDS_GRIDS at 2 trials: every XL cluster correlation kind."""
+    return _regridded("fig15c", KINDS_GRIDS)
 
 
 def main(outdir, names):
@@ -57,7 +74,8 @@ def main(outdir, names):
     files = 0
     if not names:
         emit_csv(run_experiment(band_config()), out / "fig12c-band.csv")
-        files = 2
+        emit_csv(run_experiment(kinds_config()), out / "fig15c-kinds.csv")
+        files = 4
     names = sorted(set(names)) or preset_names()
     for name in names:
         emit_csv(run_experiment(trimmed(name, MAX_TRIALS, GRID_VALUES)), out / f"{name}.csv")

@@ -1,25 +1,196 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from chansim import xlmimo
+from chansim.cbsm import exponential_correlation
 from chansim.config import ExperimentConfig, SweepSpec
 from chansim.errors import InvalidParam
-from chansim.gbsm import UlaGeometry
+from chansim.gbsm import UlaGeometry, onering_ula
 from chansim.metrics import sinr_per_user
 from chansim.precoding import cb_precoder, normalize_columns, zf_precoder
 from chansim.registry import METRICS, xl_sinr_noise_power
-from chansim.xlmimo import (L0_DB, NORMALIZATION, Cluster, antenna_positions,
-                            assemble_channel_matrix, build_scenario,
-                            cluster_channel, cluster_correlation_matrix,
-                            pathloss_per_antenna, place_clusters, position_vr,
-                            rayleigh_distance, sums_to_one, user_channel,
-                            vr_mask_chain)
+from chansim.xlmimo import (ALPHA_VR, CLUSTER_CORR_QUADRATURE, CLUSTER_CORRELATIONS,
+                            CLUSTER_SCHEMES, D0, L0_DB, NORMALIZATION, SCHEME1_ARC,
+                            XlScenario, antenna_positions, assemble_channel_matrix,
+                            build_scenario, cluster_channel, cluster_correlation_matrix,
+                            pathloss, place_clusters, position_vr, rayleigh_distance,
+                            sums_to_one, vr_mask_chain)
 
 
 def xl_geometry(m=100):
     return UlaGeometry(m=m, d_h=5.0)
+
+
+def scenario_of(clusters, geom=None, users=None, correlation="uncorrelated",
+                rho=0.5, delta=np.radians(10.0)):
+    """An XlScenario holding per-user lists of (center, vr_lo, vr_mask) clusters.
+
+    Users default to 40 m out on broadside, as ``build_scenario`` places them.
+    """
+    geom = geom or xl_geometry()
+    shape = (len(clusters), len(clusters[0]))
+    centers = np.zeros(shape + (2,))
+    vr = np.zeros(shape + (geom.m,), dtype=np.int8)
+    vr_center = np.zeros(shape, dtype=int)
+    for k, c in np.ndindex(shape):
+        center, lo, mask = clusters[k][c]
+        centers[k, c] = center
+        vr[k, c, lo:lo + len(mask)] = np.where(mask == 1, 1, -1)
+        vr_center[k, c] = lo + len(mask) // 2
+    users = np.tile([0.0, 40.0], (shape[0], 1)) if users is None else np.asarray(users, float)
+    return XlScenario(geometry=geom, users=users, centers=centers, vr=vr, vr_center=vr_center,
+                      correlation=correlation, rho=rho, delta=delta)
+
+
+def _spans(scen):
+    """First antenna and length of every cluster's VR span, each (K, C)."""
+    inside = scen.vr != 0
+    return inside.argmax(axis=-1), inside.sum(axis=-1)
+
+
+# Reference copy of the per-cluster path that the scenario arrays replaced:
+# placement by one scalar draw per value, one (center, vr_lo, vr_mask) triple
+# per cluster, path loss per cluster, and a user's channel as a loop over
+# its clusters.  The array path must equal it bit for bit, stream included.
+
+def ref_place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, array_length,
+                       d1=35.0, d2=20.0):
+    out = []
+    for _ in range(num_users):
+        per_user = []
+        for _ in range(clusters_per_user):
+            if scheme == "scheme1":
+                az = rng.uniform(*SCHEME1_ARC)
+                center = np.array([d1 * np.sin(az), d1 * np.cos(az)])
+            else:
+                x = rng.uniform(-array_length / 2.0, array_length / 2.0)
+                center = np.array([x, d2])
+            per_user.append((center, rng.uniform(*r_bounds)))
+        out.append(per_user)
+    return out
+
+
+def ref_clusters(scheme, num_users, clusters_per_user, rng, m=100, r_bounds=(5.0, 10.0),
+                 p0=0.05, p1=0.95, c=0.05):
+    """Per user, a list of (center, vr_lo, vr_mask), drawn as build_scenario draws them."""
+    geom = xl_geometry(m)
+    l_bs = (m - 1) * 5.0 * 0.125
+    out = []
+    for per_user in ref_place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng,
+                                       l_bs):
+        row = []
+        for center, radius in per_user:
+            m_vr = m if 2.0 * radius >= l_bs else int(np.ceil(m * 2.0 * radius / l_bs))
+            mask = vr_mask_chain(m_vr, p0, p1, c, rng)
+            row.append((center, position_vr(center, m_vr, geom), mask))
+        out.append(row)
+    return out
+
+
+def ref_pathloss_per_antenna(cluster, user, geom):
+    center, lo, mask = cluster
+    positions = antenna_positions(geom)
+    cx, cy = center
+    d = np.hypot(positions - cx, cy) + np.hypot(cx - user[0], cy - user[1])
+    if np.any(d < D0):
+        warnings.warn("link distance below reference distance, clamping", stacklevel=2)
+        d = np.maximum(d, D0)
+    alpha = np.full(geom.m, xlmimo.ALPHA_NVR)
+    alpha[lo:lo + len(mask)] = ALPHA_VR
+    loss_db = L0_DB - 10.0 * alpha * np.log10(d / D0)
+    amp = np.sqrt(10.0 ** (loss_db / 10.0) * NORMALIZATION)
+    obstructed = np.zeros(geom.m, dtype=bool)
+    obstructed[lo:lo + len(mask)] = mask == 0
+    amp[obstructed] = 0.0
+    return amp
+
+
+def ref_correlation(scen, cluster):
+    center, lo, mask = cluster
+    m = scen.geometry.m
+    if scen.correlation == "uncorrelated":
+        return None
+    if scen.correlation == "exponential":
+        return exponential_correlation(m, scen.rho)
+    vr_center = antenna_positions(scen.geometry)[lo + len(mask) // 2]
+    phi = np.arctan2(center[0] - vr_center, center[1])
+    return onering_ula(UlaGeometry(m=m, d_h=0.5), phi=phi, delta_phi=scen.delta,
+                       quad=CLUSTER_CORR_QUADRATURE)
+
+
+def ref_pathloss(scen, clusters):
+    return np.array([[ref_pathloss_per_antenna(cl, scen.users[k], scen.geometry) for cl in row]
+                     for k, row in enumerate(clusters)])
+
+
+def ref_user_channel(scen, clusters, k, rng):
+    h = np.zeros(scen.geometry.m, dtype=complex)
+    for cluster in clusters[k]:
+        beta = ref_pathloss_per_antenna(cluster, scen.users[k], scen.geometry)
+        h += cluster_channel(beta, ref_correlation(scen, cluster), rng)
+    return h
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("kind", CLUSTER_CORRELATIONS)
+@pytest.mark.parametrize("scheme", CLUSTER_SCHEMES)
+def test_array_path_equals_the_per_cluster_path(scheme, kind, k):
+    seed = 100 + k
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    centers, radii = place_clusters(scheme, k, 2, (5.0, 10.0), rng, 61.875)
+    placed = ref_place_clusters(scheme, k, 2, (5.0, 10.0), ref_rng, 61.875)
+    assert np.array_equal(centers, [[center for center, _ in row] for row in placed])
+    assert np.array_equal(radii, [[radius for _, radius in row] for row in placed])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    scen = build_scenario(scheme, k, 2, rng, correlation=kind)
+    clusters = ref_clusters(scheme, k, 2, ref_rng)
+    ref = scenario_of(clusters, correlation=kind)
+    for field in ("users", "centers", "vr", "vr_center"):
+        assert np.array_equal(getattr(scen, field), getattr(ref, field)), field
+    assert scen.vr.dtype == np.int8
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    assert np.array_equal(pathloss(scen), ref_pathloss(scen, clusters))
+    h = assemble_channel_matrix(scen, rng)
+    ref_h = np.column_stack([ref_user_channel(scen, clusters, j, ref_rng) for j in range(k)])
+    assert np.array_equal(h, ref_h)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_obstructed_cluster_and_short_link_match_the_per_cluster_path():
+    # user 0 sits 0.3 m from both its clusters, so links near them are shorter
+    # than D0 and clamp; its first cluster is obstructed on every antenna
+    geom = UlaGeometry(m=4, d_h=5.0)
+    near = np.array([0.2, 0.1])
+    clusters = [[(near, 0, np.zeros(4, dtype=np.int8)), (near, 1, np.array([1, 0], np.int8))],
+                [make_cluster([-1.0, 20.0], 2, geom=geom),
+                 make_cluster([1.0, 20.0], 3, geom=geom)]]
+    scen = scenario_of(clusters, geom=geom, users=[[0.2, 0.4], [0.0, 40.0]])
+    with warnings.catch_warnings(record=True) as ref_caught:
+        warnings.simplefilter("always")
+        ref_amp = ref_pathloss(scen, clusters)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        amp = pathloss(scen)
+    # the per-cluster path warned once per short cluster; the arrays warn once per trial
+    assert len(ref_caught) == 2
+    assert [str(w.message) for w in caught] == \
+        ["link distance below reference distance, clamping"]
+    assert np.array_equal(amp, ref_amp)
+    assert np.all(amp[0, 0] == 0.0) and amp[0, 1, 2] == 0.0 and amp[0, 1, 1] > 0.0
+    # the clamped antenna reads the amplitude at D0 inside the VR
+    at_d0 = np.sqrt(10.0 ** (L0_DB / 10.0) * NORMALIZATION)
+    assert amp[0, 1, 1] == pytest.approx(at_d0, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        h = assemble_channel_matrix(scen, np.random.default_rng(40))
+        ref_rng = np.random.default_rng(40)
+        ref_h = np.column_stack([ref_user_channel(scen, clusters, j, ref_rng) for j in range(2)])
+    assert np.array_equal(h, ref_h)
 
 
 def test_rayleigh_distance_values():
@@ -49,21 +220,18 @@ def test_antenna_positions_are_computed_once_per_geometry_and_read_only():
 
 def test_place_clusters_scheme1_distance():
     rng = np.random.default_rng(0)
-    placed = place_clusters("scheme1", 5, 2, (5.0, 10.0), rng, 61.875, d1=35.0)
-    assert sum(len(row) for row in placed) == 10
-    for row in placed:
-        for center, radius in row:
-            assert np.isclose(np.linalg.norm(center), 35.0, atol=1e-9)
-            assert 5.0 <= radius <= 10.0
+    centers, radii = place_clusters("scheme1", 5, 2, (5.0, 10.0), rng, 61.875, d1=35.0)
+    assert centers.shape == (5, 2, 2) and radii.shape == (5, 2)
+    assert np.allclose(np.linalg.norm(centers, axis=-1), 35.0, rtol=0, atol=1e-9)
+    assert np.all((5.0 <= radii) & (radii <= 10.0))
 
 
 def test_place_clusters_scheme2_line():
     rng = np.random.default_rng(1)
-    placed = place_clusters("scheme2", 3, 2, (5.0, 10.0), rng, 61.875, d2=20.0)
-    for row in placed:
-        for center, _ in row:
-            assert center[1] == 20.0
-            assert abs(center[0]) <= 61.875 / 2
+    centers, _ = place_clusters("scheme2", 3, 2, (5.0, 10.0), rng, 61.875, d2=20.0)
+    assert centers.shape == (3, 2, 2)
+    assert np.all(centers[..., 1] == 20.0)
+    assert np.all(np.abs(centers[..., 0]) <= 61.875 / 2)
 
 
 def test_vr_mask_chain_all_visible_when_p0_zero():
@@ -108,32 +276,34 @@ def test_vr_mask_binary():
     assert set(np.unique(mask)) <= {0, 1}
 
 
-def _all_clusters(scen):
-    return [cl for per_user in scen.clusters for cl in per_user]
-
-
 def test_build_scenario_vr_span_size():
-    rng = np.random.default_rng(5)
-    scen = build_scenario("scheme1", 3, 2, rng, m=100, r_bounds=(5.0, 5.0))
+    scen = build_scenario("scheme1", 3, 2, np.random.default_rng(5), m=100,
+                          r_bounds=(5.0, 5.0))
+    _, radii = place_clusters("scheme1", 3, 2, (5.0, 5.0), np.random.default_rng(5), 61.875)
+    assert np.all(radii == 5.0)
     # L_VR = 10, L_BS = 61.875 -> M_VR = ceil(100 * 10 / 61.875) = 17
-    clusters = _all_clusters(scen)
-    assert len(clusters) == 6
-    assert all(cl.radius == 5.0 for cl in clusters)
-    assert all(len(cl.vr_mask) == 17 for cl in clusters)
+    lo, length = _spans(scen)
+    assert scen.vr.shape == (3, 2, 100)
+    assert np.all(length == 17)
+    assert np.array_equal(scen.vr_center, lo + 8)
+    # each span is one run of visible (1) and obstructed (-1) antennas
+    assert all(np.all(scen.vr[k, c, lo[k, c]:lo[k, c] + 17] != 0) for k, c in np.ndindex(3, 2))
 
 
 def test_build_scenario_vr_truncated_to_m():
     rng = np.random.default_rng(6)
     scen = build_scenario("scheme2", 3, 2, rng, m=10, r_bounds=(50.0, 50.0))
     # L_VR = 100 spans far more than the L_BS = 5.625 array: M_VR = 178 -> 10
-    assert all(len(cl.vr_mask) == 10 and cl.vr_lo == 0 for cl in _all_clusters(scen))
+    lo, length = _spans(scen)
+    assert np.all(length == 10) and np.all(lo == 0)
 
 
 def test_build_scenario_one_antenna():
     # a one-antenna array has length L_BS = 0, which any VR covers
     rng = np.random.default_rng(20)
     scen = build_scenario("scheme1", 2, 2, rng, m=1)
-    assert all(len(cl.vr_mask) == 1 and cl.vr_lo == 0 for cl in _all_clusters(scen))
+    lo, length = _spans(scen)
+    assert np.all(length == 1) and np.all(lo == 0)
     assert assemble_channel_matrix(scen, rng).shape == (1, 2)
 
 
@@ -159,19 +329,18 @@ def test_position_vr_full_span():
 
 
 def make_cluster(center, m_vr, mask=None, geom=None):
+    """A (center, vr_lo, vr_mask) cluster whose span build_scenario would position."""
     geom = geom or xl_geometry()
     mask = np.ones(m_vr, dtype=np.int8) if mask is None else mask
-    lo = position_vr(np.asarray(center, dtype=float), m_vr, geom)
-    return Cluster(center=np.asarray(center, dtype=float), radius=m_vr / 4,
-                   vr_mask=mask, vr_lo=lo)
+    center = np.asarray(center, dtype=float)
+    return center, position_vr(center, m_vr, geom), mask
 
 
 def test_pathloss_reference_distance():
     # a cluster-antenna-user path of exactly d0 inside the VR gives L = L0
     geom = UlaGeometry(m=1, d_h=5.0)
-    cluster = Cluster(center=np.array([0.0, 0.5]), radius=1.0,
-                      vr_mask=np.ones(1, dtype=np.int8), vr_lo=0)
-    amp = pathloss_per_antenna(cluster, np.array([0.0, 1.0]), geom)
+    cluster = (np.array([0.0, 0.5]), 0, np.ones(1, dtype=np.int8))
+    amp = pathloss(scenario_of([[cluster]], geom=geom, users=[[0.0, 1.0]]))[0, 0]
     expected = np.sqrt(10.0 ** (L0_DB / 10.0) * NORMALIZATION)
     assert np.isclose(amp[0], expected)
 
@@ -181,30 +350,29 @@ def test_pathloss_doubling_distance():
     geom = UlaGeometry(m=1, d_h=5.0)
     amps = []
     for d in (2.0, 4.0):
-        cluster = Cluster(center=np.array([0.0, 1.0]), radius=1.0,
-                          vr_mask=np.ones(1, dtype=np.int8), vr_lo=0)
-        amp = pathloss_per_antenna(cluster, np.array([0.0, 1.0 + d - 1.0]), geom)
+        cluster = (np.array([0.0, 1.0]), 0, np.ones(1, dtype=np.int8))
+        amp = pathloss(scenario_of([[cluster]], geom=geom, users=[[0.0, 1.0 + d - 1.0]]))[0, 0]
         amps.append(amp[0])
     drop_db = 20.0 * np.log10(amps[0] / amps[1])
     assert np.isclose(drop_db, 10.0 * 3.0 * np.log10(2.0), atol=1e-9)
 
 
 def test_pathloss_obstructed_antennas_zero():
-    geom = xl_geometry()
     mask = np.ones(17, dtype=np.int8)
     mask[3] = 0
     cluster = make_cluster([0.0, 20.0], 17, mask=mask)
-    amp = pathloss_per_antenna(cluster, np.array([0.0, 40.0]), geom)
-    assert amp[cluster.vr_lo + 3] == 0.0
-    visible = np.delete(np.arange(cluster.vr_lo, cluster.vr_lo + 17), 3)
+    lo = cluster[1]
+    amp = pathloss(scenario_of([[cluster]]))[0, 0]
+    assert amp[lo + 3] == 0.0
+    visible = np.delete(np.arange(lo, lo + 17), 3)
     assert np.all(amp[visible] > 0)
 
 
 def test_pathloss_out_of_vr_weaker():
-    geom = xl_geometry()
     cluster = make_cluster([0.0, 20.0], 17)
-    amp = pathloss_per_antenna(cluster, np.array([0.0, 40.0]), geom)
-    inside = amp[cluster.vr_span].min()
+    lo = cluster[1]
+    amp = pathloss(scenario_of([[cluster]]))[0, 0]
+    inside = amp[lo:lo + 17].min()
     outside = amp[[0, 99]].max()
     assert outside < inside
 
@@ -212,7 +380,7 @@ def test_pathloss_out_of_vr_weaker():
 def test_pathloss_monotone_in_distance():
     geom = xl_geometry()
     cluster = make_cluster([0.0, 20.0], 100)
-    amp = pathloss_per_antenna(cluster, np.array([0.0, 40.0]), geom)
+    amp = pathloss(scenario_of([[cluster]]))[0, 0]
     pos = antenna_positions(geom)
     d = np.hypot(pos - 0.0, 20.0)
     order = np.argsort(d)
@@ -237,7 +405,6 @@ def test_cluster_channel_variance():
 @pytest.mark.slow
 def test_cluster_channel_covariance_oracle():
     rng = np.random.default_rng(9)
-    from chansim.cbsm import exponential_correlation
     r = exponential_correlation(8, 0.6)
     beta = np.linspace(0.5, 2.0, 8)
     draws = np.array([cluster_channel(beta, r, rng) for _ in range(100_000)])
@@ -251,31 +418,27 @@ def test_user_channel_single_cluster():
     rng1 = np.random.default_rng(10)
     rng2 = np.random.default_rng(10)
     scen = build_scenario("scheme1", 1, 1, np.random.default_rng(11))
-    h = user_channel(scen, 0, rng1)
-    cluster = scen.clusters[0][0]
-    beta = pathloss_per_antenna(cluster, scen.users[0], scen.geometry)
-    ref = cluster_channel(beta, None, rng2)
-    assert np.allclose(h, ref)
+    (h,) = assemble_channel_matrix(scen, rng1).T
+    ref = cluster_channel(pathloss(scen)[0, 0], None, rng2)
+    assert np.array_equal(h, ref)
 
 
 def test_user_channel_variance_doubles_with_identical_clusters():
     rng = np.random.default_rng(12)
-    scen = build_scenario("scheme1", 1, 1, np.random.default_rng(13))
-    cluster = scen.clusters[0][0]
-    scen.clusters[0] = [cluster, cluster]
     one = build_scenario("scheme1", 1, 1, np.random.default_rng(13))
+    scen = dataclasses.replace(one, centers=np.repeat(one.centers, 2, axis=1),
+                               vr=np.repeat(one.vr, 2, axis=1),
+                               vr_center=np.repeat(one.vr_center, 2, axis=1))
     n = 20_000
-    v2 = np.var([user_channel(scen, 0, rng)[50] for _ in range(n)])
-    v1 = np.var([user_channel(one, 0, rng)[50] for _ in range(n)])
+    v2 = np.var([assemble_channel_matrix(scen, rng)[50, 0] for _ in range(n)])
+    v1 = np.var([assemble_channel_matrix(one, rng)[50, 0] for _ in range(n)])
     assert abs(v2 / v1 - 2.0) < 0.15
 
 
 def test_fully_obstructed_user_zero():
     scen = build_scenario("scheme1", 1, 1, np.random.default_rng(14))
-    cluster = scen.clusters[0][0]
-    scen.clusters[0] = [Cluster(center=cluster.center, radius=cluster.radius,
-                                vr_mask=np.zeros(100, dtype=np.int8), vr_lo=0)]
-    h = user_channel(scen, 0, np.random.default_rng(15))
+    scen.vr[0, 0] = -1       # the VR spans the whole array, every antenna obstructed
+    h = assemble_channel_matrix(scen, np.random.default_rng(15))
     assert np.all(h == 0)
 
 
@@ -291,11 +454,9 @@ def test_assemble_shapes():
 
 def test_disjoint_vr_support(monkeypatch):
     # two users, each one cluster, VRs at opposite array ends, no leakage
-    scen = build_scenario("scheme2", 2, 1, np.random.default_rng(17))
-    geom = scen.geometry
-    left = make_cluster([-28.0, 20.0], 10, geom=geom)
-    right = make_cluster([28.0, 20.0], 10, geom=geom)
-    scen.clusters = [[left], [right]]
+    left = make_cluster([-28.0, 20.0], 10)
+    right = make_cluster([28.0, 20.0], 10)
+    scen = scenario_of([[left], [right]])
     monkeypatch.setattr(xlmimo, "ALPHA_NVR", np.inf)
     h = assemble_channel_matrix(scen, np.random.default_rng(18))
     s0 = set(np.flatnonzero(np.abs(h[:, 0])))
@@ -307,7 +468,7 @@ def test_cluster_correlation_kinds():
     rng = np.random.default_rng(19)
     for kind in ("uncorrelated", "exponential", "onering"):
         scen = build_scenario("scheme1", 1, 1, rng, correlation=kind)
-        r = cluster_correlation_matrix(scen, scen.clusters[0][0])
+        r = cluster_correlation_matrix(scen, 0, 0)
         if kind == "uncorrelated":
             assert r is None
         else:
@@ -356,9 +517,8 @@ ORACLE_SEEDS = {"uncorrelated": 31, "exponential": 32, "onering": 33}
 def _user_covariance(scen, k):
     m = scen.geometry.m
     cov = np.zeros((m, m), dtype=complex)
-    for cluster in scen.clusters[k]:
-        a = pathloss_per_antenna(cluster, scen.users[k], scen.geometry)
-        r = cluster_correlation_matrix(scen, cluster)
+    for c, a in enumerate(pathloss(scen)[k]):
+        r = cluster_correlation_matrix(scen, k, c)
         cov += a[:, None] * (np.eye(m) if r is None else r) * a[None, :]
     return cov
 
@@ -381,7 +541,8 @@ def moment_z_scores(kind, seed):
          "energy_1": _z(energy[:, 1], np.trace(c1).real),
          "cross_re": _z(cross.real, 0.0), "cross_im": _z(cross.imag, 0.0),
          "cross_sq": _z(np.abs(cross) ** 2, np.trace(c0 @ c1).real)}
-    one_user = dataclasses.replace(scen, users=scen.users[:1], clusters=scen.clusters[:1])
+    one_user = dataclasses.replace(scen, users=scen.users[:1], centers=scen.centers[:1],
+                                   vr=scen.vr[:1], vr_center=scen.vr_center[:1])
     for precoder in ("cb", "zf"):
         cfg = ExperimentConfig(model="xl", metric="sinr", sweep=SweepSpec("num_users", (1,)),
                                m=32, num_users=1, total_power=2.0, precoder=precoder,
