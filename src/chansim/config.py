@@ -119,7 +119,7 @@ class ExperimentConfig:
     xl_correlation: str = _key("xl.correlation", "uncorrelated", sweep="correlation",
                                choices=xlmimo.CLUSTER_CORRELATIONS)
     precoder: str = _key("xl.precoder", "cb", sweep="precoder", choices=precoding.PRECODERS)
-    total_power: float = _key("xl.total_power", 1.0, rule=">= 0")
+    total_power: float = _key("xl.total_power", 1.0, rule="> 0")
     power_convention: str = _key("power_convention", "amplitude",
                                  choices=precoding.POWER_CONVENTIONS)
     p0: float = _key("xl.p0", 0.05, rule="in [0, 1]")

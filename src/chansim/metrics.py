@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidMatrix, InvalidParam, ZeroVector
-from .linalg import log2_det_ipm, psd_eigvals
+from .linalg import log2_det_ipm
 
 
 def db_to_linear(x_db: float) -> float:

@@ -7,9 +7,8 @@ then assemble each user's channel as the sum over clusters of the
 Hadamard product between the path-loss amplitude vector and a spatially
 correlated small-scale fading draw.
 
-A scenario holds K users' C clusters as (K, C, ...) arrays, and path loss
-is one (K, C, M) expression; only the VR chains and the fading draws run
-cluster by cluster, in user-then-cluster order.
+A scenario holds K users' C clusters as (K, C, ...) arrays, built by array
+expressions; only the VR chains and cluster correlations run per cluster.
 
 The array lies on the x-axis, centered at the origin.  Cluster and user
 positions are 2-D coordinates in meters; the azimuth convention is
@@ -31,7 +30,7 @@ import numpy as np
 from .cbsm import exponential_correlation
 from .errors import InvalidParam
 from .gbsm import QuadratureConfig, UlaGeometry, onering_ula
-from .linalg import psd_sqrt, complex_gaussian
+from .linalg import psd_sqrt
 
 # Fixed values and accepted kinds of the reference XL scenario.
 DEFAULT_WAVELENGTH = 0.125           # meters (2.4 GHz carrier)
@@ -151,17 +150,17 @@ def place_clusters(scheme: str, num_users: int, clusters_per_user: int,
     return centers, radii
 
 
-def position_vr(center: np.ndarray, m_vr: int, geom: UlaGeometry) -> int:
-    """First antenna index (0-based) of a VR of length ``m_vr``.
+def position_vr(center: np.ndarray, m_vr: int | np.ndarray, geom: UlaGeometry) -> np.ndarray:
+    """First antenna index (0-based) of each VR of length ``m_vr``.
 
     The span is centered on the antenna nearest the orthogonal projection
     of the cluster center onto the array line, shifted inward (not shrunk)
-    when it would overhang an array edge.
+    when it would overhang an array edge.  ``center[..., :2]`` and ``m_vr`` broadcast.
     """
     positions = antenna_positions(geom)
-    nearest = int(np.argmin(np.abs(positions - center[0])))
+    nearest = np.argmin(np.abs(positions - center[..., 0, None]), axis=-1)
     lo = nearest - (m_vr - 1) // 2
-    return max(0, min(lo, geom.m - m_vr))
+    return np.maximum(0, np.minimum(lo, geom.m - m_vr))
 
 
 # Antenna spacing (wavelengths) inside the cluster correlation model: the
@@ -186,10 +185,6 @@ class XlScenario:
     rho: float                              # exponential correlation coefficient
     delta: float                            # one-ring angular spread, radians
 
-    @property
-    def num_users(self) -> int:
-        return len(self.users)
-
 
 def build_scenario(scheme: str, num_users: int, clusters_per_user: int,
                    rng: np.random.Generator, m: int = 100,
@@ -204,7 +199,7 @@ def build_scenario(scheme: str, num_users: int, clusters_per_user: int,
     sits 40 m out on broadside, and path loss follows ``L0_DB``, ``D0``,
     ``ALPHA_VR``, ``ALPHA_NVR`` and ``NORMALIZATION``.  The exponential
     ``correlation`` reads ``rho``; the one-ring one reads ``delta`` (radians).
-    The chains run in user-then-cluster order, each as long as its radius sets.
+    Spans are placed as (K, C) arrays; their chains run in user-then-cluster order.
     """
     if correlation not in CLUSTER_CORRELATIONS:
         raise InvalidParam(f"unknown correlation kind {correlation!r}")
@@ -213,16 +208,17 @@ def build_scenario(scheme: str, num_users: int, clusters_per_user: int,
     l_bs = (m - 1) * VR_SPACING_WAVELENGTHS * DEFAULT_WAVELENGTH
     centers, radii = place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, l_bs,
                                     d1=d1, d2=d2)
+    # A VR as long as the array covers it all, as any VR covers one antenna (l_bs = 0);
+    # only the shorter ones divide by l_bs, which is then > 0.
+    m_vr = np.full(radii.shape, m)
+    short = 2.0 * radii < l_bs
+    m_vr[short] = np.ceil(m * 2.0 * radii[short] / l_bs)
+    lo = position_vr(centers, m_vr, geometry)
+    vr_center = lo + m_vr // 2
     vr = np.zeros(radii.shape + (m,), dtype=np.int8)
-    vr_center = np.zeros(radii.shape, dtype=int)
     for k, j in np.ndindex(radii.shape):
-        radius = radii[k, j]
-        # A VR as long as the array covers it all, as any VR covers one antenna (l_bs = 0).
-        m_vr = m if 2.0 * radius >= l_bs else int(np.ceil(m * 2.0 * radius / l_bs))
-        mask = vr_mask_chain(m_vr, p0, p1, c, rng)
-        lo = position_vr(centers[k, j], m_vr, geometry)
-        vr[k, j, lo:lo + m_vr] = 2 * mask - 1
-        vr_center[k, j] = lo + m_vr // 2
+        mask = vr_mask_chain(m_vr[k, j], p0, p1, c, rng)
+        vr[k, j, lo[k, j]:lo[k, j] + m_vr[k, j]] = 2 * mask - 1
     return XlScenario(geometry=geometry, users=users, centers=centers, vr=vr,
                       vr_center=vr_center, correlation=correlation, rho=rho, delta=delta)
 
@@ -265,24 +261,20 @@ def cluster_correlation_matrix(scenario: XlScenario, k: int, c: int) -> np.ndarr
     return onering_ula(geom, phi=phi, delta_phi=scenario.delta, quad=CLUSTER_CORR_QUADRATURE)
 
 
-def cluster_channel(beta: np.ndarray, r: np.ndarray | None,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Hadamard product of the amplitude vector with a correlated CN(0, R) draw."""
-    beta = np.asarray(beta, dtype=float)
-    m = beta.shape[0]
-    z = complex_gaussian(m, rng)
-    if r is None:
-        return beta * z
-    if r.shape != (m, m):
-        raise InvalidParam(f"correlation matrix shape {r.shape} does not match M={m}")
-    return beta * (psd_sqrt(r) @ z)
-
-
 def assemble_channel_matrix(scenario: XlScenario, rng: np.random.Generator) -> np.ndarray:
-    """M x K channel matrix: column k sums user k's clusters, each with a fresh draw."""
+    """M x K channel matrix: column k sums user k's clusters, each with a fresh draw.
+
+    One draw gives every cluster's CN(0, I) fading z, the same doubles as a
+    draw per cluster in user-then-cluster order; a correlated one takes sqrt(R) z.
+    """
     amp = pathloss(scenario)
-    h = np.zeros((scenario.geometry.m, scenario.num_users), dtype=complex)
-    for k, c in np.ndindex(amp.shape[:2]):
+    num_users, clusters, m = amp.shape
+    x = rng.standard_normal((num_users, clusters, 2, m))
+    z = (x[:, :, 0] + 1j * x[:, :, 1]) / np.sqrt(2.0)
+    del x
+    h = np.zeros((m, num_users), dtype=complex)
+    for k, c in np.ndindex(num_users, clusters):
         r = cluster_correlation_matrix(scenario, k, c)
-        h[:, k] += cluster_channel(amp[k, c], r, rng)
+        fading = z[k, c] if r is None else psd_sqrt(r) @ z[k, c]
+        h[:, k] += amp[k, c] * fading
     return h

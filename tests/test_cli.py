@@ -127,6 +127,7 @@ sweep.grid = 16
     (XL.replace("param = d1", "param = num_users").replace("= 35", "= 2,0"),
      "{'num_users': 0}: xl.users", ()),
     (XL + "xl.total_power = -1\n", "xl.total_power", ()),
+    (XL + "xl.total_power = 0\n", "xl.total_power", ()),
     (CONFIG.replace("geometry.m = 10", "geometry.m = 0"), "geometry.m", ()),
     (CONFIG.replace("param = rho", "param = m").replace("0,0.5", "16,0"),
      "{'m': 0}: geometry.m", ()),
@@ -188,8 +189,8 @@ sweep.grid = 16
     (XL + "curve.param = precoder\ncurve.grid = cb,mmse\n",
      "{'d1': 35, 'precoder': 'mmse'}: xl.precoder", ()),
 ], ids=["rho_grid", "m_grid", "num_scatterers", "sigma_shad", "seed", "seed_option",
-        "users", "num_users_grid", "total_power", "m", "m_grid_zero", "d_h", "d_v",
-        "clusters_per_user", "vr_antennas", "r_min", "r_max", "p0", "p0_p1_outside",
+        "users", "num_users_grid", "total_power", "total_power_zero", "m", "m_grid_zero", "d_h",
+        "d_v", "clusters_per_user", "vr_antennas", "r_min", "r_max", "p0", "p0_p1_outside",
         "p0_p1_sum", "p0_p1_sum_above_tolerance", "p0_p1_sum_below_tolerance",
         "c", "d2", "snr_nan", "total_power_inf", "range_nan", "range_inf",
         "list_inf", "rho", "beta", "delta", "sigma_phi", "delta_theta", "sigma_theta",

@@ -9,13 +9,14 @@ from chansim.cbsm import exponential_correlation
 from chansim.config import ExperimentConfig, SweepSpec
 from chansim.errors import InvalidParam
 from chansim.gbsm import UlaGeometry, onering_ula
+from chansim.linalg import complex_gaussian, psd_sqrt
 from chansim.metrics import sinr_per_user
 from chansim.precoding import cb_precoder, normalize_columns, zf_precoder
 from chansim.registry import METRICS, xl_sinr_noise_power
 from chansim.xlmimo import (ALPHA_VR, CLUSTER_CORR_QUADRATURE, CLUSTER_CORRELATIONS,
                             CLUSTER_SCHEMES, D0, L0_DB, NORMALIZATION, SCHEME1_ARC,
                             XlScenario, antenna_positions, assemble_channel_matrix,
-                            build_scenario, cluster_channel, cluster_correlation_matrix,
+                            build_scenario, cluster_correlation_matrix,
                             pathloss, place_clusters, position_vr, rayleigh_distance,
                             sums_to_one, vr_mask_chain)
 
@@ -53,8 +54,9 @@ def _spans(scen):
 
 # Reference copy of the per-cluster path that the scenario arrays replaced:
 # placement by one scalar draw per value, one (center, vr_lo, vr_mask) triple
-# per cluster, path loss per cluster, and a user's channel as a loop over
-# its clusters.  The array path must equal it bit for bit, stream included.
+# per cluster with its span placed by the scalar rule, path loss per cluster,
+# and a user's channel as a loop over its clusters, each drawing its own
+# fading.  The array path must equal it bit for bit, stream included.
 
 def ref_place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, array_length,
                        d1=35.0, d2=20.0):
@@ -73,6 +75,18 @@ def ref_place_clusters(scheme, num_users, clusters_per_user, r_bounds, rng, arra
     return out
 
 
+def ref_vr_length(radius, m):
+    l_bs = (m - 1) * 5.0 * 0.125
+    return m if 2.0 * radius >= l_bs else int(np.ceil(m * 2.0 * radius / l_bs))
+
+
+def ref_position_vr(center, m_vr, geom):
+    positions = antenna_positions(geom)
+    nearest = int(np.argmin(np.abs(positions - center[0])))
+    lo = nearest - (m_vr - 1) // 2
+    return max(0, min(lo, geom.m - m_vr))
+
+
 def ref_clusters(scheme, num_users, clusters_per_user, rng, m=100, r_bounds=(5.0, 10.0),
                  p0=0.05, p1=0.95, c=0.05):
     """Per user, a list of (center, vr_lo, vr_mask), drawn as build_scenario draws them."""
@@ -83,9 +97,9 @@ def ref_clusters(scheme, num_users, clusters_per_user, rng, m=100, r_bounds=(5.0
                                        l_bs):
         row = []
         for center, radius in per_user:
-            m_vr = m if 2.0 * radius >= l_bs else int(np.ceil(m * 2.0 * radius / l_bs))
+            m_vr = ref_vr_length(radius, m)
             mask = vr_mask_chain(m_vr, p0, p1, c, rng)
-            row.append((center, position_vr(center, m_vr, geom), mask))
+            row.append((center, ref_position_vr(center, m_vr, geom), mask))
         out.append(row)
     return out
 
@@ -126,11 +140,18 @@ def ref_pathloss(scen, clusters):
                      for k, row in enumerate(clusters)])
 
 
+def ref_cluster_channel(beta, r, rng):
+    z = complex_gaussian(len(beta), rng)
+    if r is None:
+        return beta * z
+    return beta * (psd_sqrt(r) @ z)
+
+
 def ref_user_channel(scen, clusters, k, rng):
     h = np.zeros(scen.geometry.m, dtype=complex)
     for cluster in clusters[k]:
         beta = ref_pathloss_per_antenna(cluster, scen.users[k], scen.geometry)
-        h += cluster_channel(beta, ref_correlation(scen, cluster), rng)
+        h += ref_cluster_channel(beta, ref_correlation(scen, cluster), rng)
     return h
 
 
@@ -299,9 +320,12 @@ def test_build_scenario_vr_truncated_to_m():
 
 
 def test_build_scenario_one_antenna():
-    # a one-antenna array has length L_BS = 0, which any VR covers
+    # a one-antenna array has length L_BS = 0, which any VR covers; no span
+    # length divides by it, so nothing warns
     rng = np.random.default_rng(20)
-    scen = build_scenario("scheme1", 2, 2, rng, m=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scen = build_scenario("scheme1", 2, 2, rng, m=1)
     lo, length = _spans(scen)
     assert np.all(length == 1) and np.all(lo == 0)
     assert assemble_channel_matrix(scen, rng).shape == (1, 2)
@@ -326,6 +350,26 @@ def test_position_vr_clipped_at_edges():
 def test_position_vr_full_span():
     geom = xl_geometry()
     assert position_vr(np.array([3.0, 40.0]), 100, geom) == 0
+
+
+@pytest.mark.parametrize("scheme", CLUSTER_SCHEMES)
+def test_position_vr_arrays_equal_the_scalar_rule(scheme):
+    geom = xl_geometry()
+    centers, radii = place_clusters(scheme, 20, 2, (0.5, 40.0), np.random.default_rng(22),
+                                    61.875)
+    m_vr = np.array([[ref_vr_length(r, 100) for r in row] for row in radii])
+    # and spans of 1, 17 and 100 antennas for clusters beyond both array edges,
+    # on both edge antennas and halfway between two antennas
+    xs = (-1000.0, -30.9375, 0.3125, 30.9375, 1000.0)
+    edge_centers = np.array([[[x, 20.0] for x in xs]] * 3)
+    edge_m_vr = np.array([[1], [17], [100]]).repeat(len(xs), axis=1)
+    for where, length in ((centers, m_vr), (edge_centers, edge_m_vr)):
+        lo = position_vr(where, length, geom)
+        ref = [[ref_position_vr(where[k, c], length[k, c], geom)
+                for c in range(length.shape[1])] for k in range(length.shape[0])]
+        assert np.array_equal(lo, ref)
+    assert np.array_equal(position_vr(edge_centers, edge_m_vr, geom)[:, [0, -1]],
+                          [[0, 99], [0, 83], [0, 0]])
 
 
 def make_cluster(center, m_vr, mask=None, geom=None):
@@ -388,28 +432,45 @@ def test_pathloss_monotone_in_distance():
 
 
 def test_cluster_channel_zero_beta():
-    rng = np.random.default_rng(7)
-    assert np.all(cluster_channel(np.zeros(8), None, rng) == 0)
+    # a cluster obstructed on every antenna adds nothing, whatever its correlation
+    geom = UlaGeometry(m=8, d_h=5.0)
+    cluster = make_cluster([0.0, 20.0], 8, mask=np.zeros(8, dtype=np.int8), geom=geom)
+    for kind in CLUSTER_CORRELATIONS:
+        scen = scenario_of([[cluster]], geom=geom, correlation=kind)
+        assert np.all(assemble_channel_matrix(scen, np.random.default_rng(7)) == 0)
+
+
+def near_cluster_draws(m, rho, seed):
+    """100,000 draws of one exponential cluster at ``rho``, visible on all ``m`` antennas.
+
+    Each of 10,000 users 1.5 m from the array sees the same cluster 0.5 m
+    from it, so the amplitudes vary along the array (3.6-fold at m = 8); ten
+    channel matrices give the draws as columns.  Returns them with the
+    amplitudes.
+    """
+    geom = UlaGeometry(m=m, d_h=5.0)
+    cluster = make_cluster([-2.0, 0.5], m, geom=geom)
+    scen = scenario_of([[cluster]] * 10_000, geom=geom, users=[[0.0, 1.5]] * 10_000,
+                       correlation="exponential", rho=rho)
+    rng = np.random.default_rng(seed)
+    draws = np.hstack([assemble_channel_matrix(scen, rng) for _ in range(10)])
+    return draws, pathloss(scen)[0, 0]
 
 
 @pytest.mark.slow
 def test_cluster_channel_variance():
-    rng = np.random.default_rng(8)
-    b = 2.5
-    draws = np.array([cluster_channel(np.full(4, b), np.eye(4), rng)
-                      for _ in range(100_000)])
-    var = draws.var(axis=0)
+    # rho = 0 gives R = I, taken through the correlated path
+    assert np.array_equal(exponential_correlation(4, 0.0), np.eye(4))
+    draws, b = near_cluster_draws(4, 0.0, 8)
+    var = draws.var(axis=1)
     assert np.all(np.abs(var - b**2) < 0.05 * b**2)
 
 
 @pytest.mark.slow
 def test_cluster_channel_covariance_oracle():
-    rng = np.random.default_rng(9)
-    r = exponential_correlation(8, 0.6)
-    beta = np.linspace(0.5, 2.0, 8)
-    draws = np.array([cluster_channel(beta, r, rng) for _ in range(100_000)])
-    cov = (draws[:, :, None] * draws[:, None, :].conj()).mean(axis=0)
-    target = np.diag(beta) @ r @ np.diag(beta)
+    draws, amp = near_cluster_draws(8, 0.6, 9)
+    cov = draws @ draws.conj().T / draws.shape[1]
+    target = np.diag(amp) @ exponential_correlation(8, 0.6) @ np.diag(amp)
     err = np.linalg.norm(cov - target) / np.linalg.norm(target)
     assert err < 0.1
 
@@ -419,7 +480,7 @@ def test_user_channel_single_cluster():
     rng2 = np.random.default_rng(10)
     scen = build_scenario("scheme1", 1, 1, np.random.default_rng(11))
     (h,) = assemble_channel_matrix(scen, rng1).T
-    ref = cluster_channel(pathloss(scen)[0, 0], None, rng2)
+    ref = ref_cluster_channel(pathloss(scen)[0, 0], None, rng2)
     assert np.array_equal(h, ref)
 
 
