@@ -4,10 +4,10 @@ Spatial correlation matrices for one-ring (uniform) and Gaussian local
 scattering, over uniform linear (2-D) and uniform planar (3-D) arrays.
 Each GBSM is an angle measure plus an assembly.  The measure is a set of
 angles with positive weights summing to 1, from :func:`onering_nodes` or
-:func:`gaussian_nodes` on :func:`sized_quadrature` Gauss-Legendre nodes,
-about twice the window's need and never fewer than it (panels of a 4001-node
-rule above that); a planar array takes the outer product of two.  The
-assembly A diag(w) A^H of steering vectors is Hermitian PSD by construction.
+:func:`gaussian_nodes` on composite Gauss-Legendre nodes (one rule solved at
+import, tiled over the panels :func:`sized_quadrature` gives the window); a
+planar array takes the outer product of two.  The assembly A diag(w) A^H of
+steering vectors is Hermitian PSD by construction.
 Every builder takes its sum once per index lag and gathers the M x M matrix
 from the lag table: the ULA builders from the M lags of its first column
 through :func:`cbsm.toeplitz`, the closed-form Gaussian kernel shadowed as D K D.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,8 @@ from .cbsm import shade, toeplitz
 from .errors import InvalidParam, QuadratureWarning, ValidityWarning
 
 DEFAULT_NODES = 201
-MAX_QUAD_NODES = 4001   # the largest rule _leggauss solves (O(n^3)); panels of it beyond
+PANEL_NODES = 32   # nodes per panel of the composite rule
+_PANEL_RULE = np.polynomial.legendre.leggauss(PANEL_NODES)   # on [-1, 1], solved once
 # Elevation columns per block of the planar lag-table sum.
 _EL_BLOCK = 32
 # Gaussian scattering integrals are truncated at +/- this many sigmas.
@@ -79,11 +79,13 @@ class UpaGeometry:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss-Legendre node count per dimension (:func:`sized_quadrature` sizes it to a window)."""
+    """Node count per dimension, taken up to whole panels (:func:`sized_quadrature` sizes it)."""
 
     nodes_per_dim: int = DEFAULT_NODES
 
     def __post_init__(self):
+        if not isinstance(self.nodes_per_dim, (int, np.integer)):
+            raise InvalidParam(f"nodes_per_dim must be an integer, got {self.nodes_per_dim!r}")
         if self.nodes_per_dim < 3:
             raise InvalidParam(f"nodes_per_dim must be >= 3, got {self.nodes_per_dim}")
 
@@ -91,13 +93,10 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-@lru_cache(maxsize=32)
 def _leggauss(n: int):
-    """Gauss-Legendre rule on [-1, 1]: n nodes, or MAX_QUAD_NODES on each of ceil(n/MAX) panels."""
-    if n <= MAX_QUAD_NODES:
-        return np.polynomial.legendre.leggauss(n)
-    panels = int(np.ceil(n / MAX_QUAD_NODES))
-    x, w = _leggauss(MAX_QUAD_NODES)
+    """Composite Gauss-Legendre rule on [-1, 1]: the panel rule on ceil(n/PANEL_NODES) panels."""
+    panels = int(np.ceil(n / PANEL_NODES))
+    x, w = _PANEL_RULE
     mids = np.arange(1 - panels, panels, 2) / panels
     return (mids[:, None] + x / panels).ravel(), np.tile(w / panels, panels)
 
@@ -117,11 +116,10 @@ def _nodes_needed(spread: float, d: float, m: int) -> float:
 
 
 def sized_quadrature(spread: float, d: float, m: int) -> QuadratureConfig:
-    """Need + 1 nodes for half-width ``spread`` on ``m`` antennas ``d`` apart, floored."""
-    need = _nodes_needed(spread, d, m)
-    # 2 * need + 32, up to a multiple of 32 (few counts keep _leggauss cached); <= DEFAULT_NODES.
-    floor = min(DEFAULT_NODES, 32 * int(np.ceil((2 * need + 32) / 32)))
-    return QuadratureConfig(nodes_per_dim=max(floor, int(np.ceil(need)) + 1))
+    """Panels covering 1.5 x the need of half-width ``spread``, ``m`` antennas ``d`` apart, + 1."""
+    # Composite panels need more nodes than one global rule of the same accuracy.
+    panels = int(np.ceil(1.5 * _nodes_needed(spread, d, m) / PANEL_NODES)) + 1
+    return QuadratureConfig(nodes_per_dim=PANEL_NODES * panels)
 
 
 def _warn_if_coarse(nodes: int, spread: float, d_h: float, m: int):

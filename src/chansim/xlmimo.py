@@ -29,7 +29,7 @@ import numpy as np
 
 from .cbsm import exponential_correlation
 from .errors import InvalidParam
-from .gbsm import QuadratureConfig, UlaGeometry, onering_ula
+from .gbsm import UlaGeometry, onering_ula, sized_quadrature
 from .linalg import psd_sqrt
 
 # Fixed values and accepted kinds of the reference XL scenario.
@@ -168,7 +168,6 @@ def position_vr(center: np.ndarray, m_vr: int | np.ndarray, geom: UlaGeometry) -
 # 5-wavelength spaced, since the correlation matrices are built like the
 # stationary case.
 CLUSTER_CORR_SPACING = 0.5
-CLUSTER_CORR_QUADRATURE = QuadratureConfig(nodes_per_dim=101)
 
 
 @dataclass
@@ -258,7 +257,8 @@ def cluster_correlation_matrix(scenario: XlScenario, k: int, c: int) -> np.ndarr
     cx, cy = scenario.centers[k, c]
     phi = np.arctan2(cx - vr_center, cy)
     geom = UlaGeometry(m=m, d_h=CLUSTER_CORR_SPACING)
-    return onering_ula(geom, phi=phi, delta_phi=scenario.delta, quad=CLUSTER_CORR_QUADRATURE)
+    return onering_ula(geom, phi=phi, delta_phi=scenario.delta,
+                       quad=sized_quadrature(scenario.delta, CLUSTER_CORR_SPACING, m))
 
 
 def assemble_channel_matrix(scenario: XlScenario, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,7 @@ For each preset NAME the script writes three files to OUTDIR:
   preset at no more than 3 trials and the first 3 values of every grid;
 - ``NAME.preset``: the text that ``chansim preset NAME`` prints.
 
-The 30 presets give 90 files.  Without names the script also writes two
+The 30 presets give 90 files.  Without names the script also writes three
 CSVs, each with its manifest, for paths that no trimmed preset reaches:
 
 - ``fig12c-band.csv``: fig12c at M in {140, 380}, phi in {0, 90} deg and
@@ -16,6 +16,10 @@ CSVs, each with its manifest, for paths that no trimmed preset reaches:
 - ``fig15c-kinds.csv``: fig15c at K in {1, 5} for each XL cluster
   correlation (uncorrelated, exponential, onering), 2 trials.  No preset
   runs the exponential kind.
+- ``fig12d-wide.csv``: fig12d at d_H in {6.5, 10} and sigma_phi in
+  {5, 15} deg, 1 trial.  These rows sum over 65 to 296 panels of the
+  angle rule (2,080 to 9,472 nodes); the trimmed grid (d_H <= 1) takes
+  at most 31.
 
 Run it on two checkouts, at the same BLAS thread setting, and compare the
 directories to see which bytes a change moves.  Run from the repository root:
@@ -45,14 +49,15 @@ MAX_TRIALS = 3
 GRID_VALUES = (3, 3, 3, 3)
 BAND_GRIDS = ((140.0, 380.0), (0.0, 90.0), (0.0, 2.0))   # fig12c's m, phi and sigma_shad
 KINDS_GRIDS = ((1.0, 5.0), xlmimo.CLUSTER_CORRELATIONS)    # fig15c's num_users and correlation
+WIDE_GRIDS = ((6.5, 10.0), (5.0, 15.0))                   # fig12d's d_h and sigma_phi
 
 
-def _regridded(name, grids):
-    """Preset ``name`` at 2 trials, its sweep and curves taking ``grids`` in order."""
+def _regridded(name, grids, trials=2):
+    """Preset ``name`` at ``trials``, its sweep and curves taking ``grids`` in order."""
     cfg = preset(name)
     sweep, *curves = (dataclasses.replace(s, grid=grid)
                       for s, grid in zip((cfg.sweep,) + cfg.curves, grids))
-    return dataclasses.replace(cfg, trials=2, sweep=sweep, curves=tuple(curves))
+    return dataclasses.replace(cfg, trials=trials, sweep=sweep, curves=tuple(curves))
 
 
 def band_config():
@@ -65,6 +70,11 @@ def kinds_config():
     return _regridded("fig15c", KINDS_GRIDS)
 
 
+def wide_config():
+    """fig12d on WIDE_GRIDS at its 1 trial: the rows of many panels."""
+    return _regridded("fig12d", WIDE_GRIDS, trials=1)
+
+
 def main(outdir, names):
     unknown = sorted(set(names) - set(preset_names()))
     if unknown:
@@ -75,7 +85,8 @@ def main(outdir, names):
     if not names:
         emit_csv(run_experiment(band_config()), out / "fig12c-band.csv")
         emit_csv(run_experiment(kinds_config()), out / "fig15c-kinds.csv")
-        files = 4
+        emit_csv(run_experiment(wide_config()), out / "fig12d-wide.csv")
+        files = 6
     names = sorted(set(names)) or preset_names()
     for name in names:
         emit_csv(run_experiment(trimmed(name, MAX_TRIALS, GRID_VALUES)), out / f"{name}.csv")

@@ -10,10 +10,9 @@ the low count's time plus the slope times the trials left:
 
 A preset of one trial runs once, and its time is the estimate.  A preset
 of more trials first runs once at the low count, untimed, so that the
-slope does not take in the preset's first-call costs (a Gauss-Legendre
-rule, imports).  The presets run one after another in one process, in
-the order given (default: every preset, sorted), so a later preset may
-find a rule already cached.  A one-point sweep runs first, untimed, so
+slope does not take in the preset's first-call costs (imports).  The
+presets run one after another in one process, in the order given
+(default: every preset, sorted).  A one-point sweep runs first, untimed, so
 that no preset pays the process's one-time set-up (about 15 ms).  Run
 from the repository root:
 

@@ -18,7 +18,7 @@ from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry,
 from chansim.linalg import log2_det_ipm, psd_eigvals
 from chansim.metrics import capacity_ub
 from chansim.presets import preset
-from chansim.runner import trial_value
+from chansim.runner import run_experiment, trial_value
 
 
 def trapz_onering_entry(diff, phi, delta, d_h, n=1_000_001):
@@ -315,7 +315,7 @@ def test_upa_lag_table_matches_dense_assembly(m_h, m_v, d_h, d_v, phi, theta,
     assume(m_h != m_v and d_h != d_v and beta != 1.0)
     geom = UpaGeometry(m_h=m_h, m_v=m_v, d_h=d_h, d_v=d_v)
     quad = QuadratureConfig(nodes_per_dim=nodes)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = gbsm._leggauss(nodes)
     d_az, w_az = gbsm.gaussian_nodes(0.0, spread_az / 2, quad)
     d_el, w_el = gbsm.gaussian_nodes(0.0, spread_el / 2, quad)
     cases = [
@@ -365,7 +365,7 @@ def test_upa_long_lag_chain_matches_extended_precision(d_h):
     geom = UpaGeometry(m_h=20, m_v=2, d_h=d_h, d_v=0.5)
     quad = QuadratureConfig(nodes_per_dim=21)
     phi, theta = 0.4, 0.2
-    x, w = np.polynomial.legendre.leggauss(21)
+    x, w = gbsm._leggauss(21)
     d_az, w_az = gbsm.gaussian_nodes(0.0, np.radians(10), quad)
     d_el, w_el = gbsm.gaussian_nodes(0.0, np.radians(5), quad)
     cases = [
@@ -454,12 +454,23 @@ def test_builders_reject_parameters_of_other_models(build, foreign):
 QUADS = [QuadratureConfig(nodes_per_dim=n) for n in (3, 21, 201, 1001)]
 
 
+@pytest.mark.parametrize("nodes, message", [
+    (100.5, "must be an integer"), (100.0, "must be an integer"), ("101", "must be an integer"),
+    (2, "must be >= 3"), (np.int64(2), "must be >= 3"),
+])
+def test_quadrature_config_rejects_a_count_that_is_not_an_integer_of_3_or_more(nodes, message):
+    with pytest.raises(InvalidParam, match=f"^nodes_per_dim {message}"):
+        QuadratureConfig(nodes_per_dim=nodes)
+    assert QuadratureConfig(nodes_per_dim=np.int64(101)).nodes_per_dim == 101
+
+
 @pytest.mark.parametrize("quad", QUADS, ids=lambda q: str(q.nodes_per_dim))
 @pytest.mark.parametrize("spread", [1e-3, 0.05, np.radians(15), 1.0])
 def test_node_weights_sum_to_one(quad, spread):
     for angles, weights in (gbsm.onering_nodes(0.3, spread, quad),
                             gbsm.gaussian_nodes(0.3, spread, quad)):
-        assert angles.shape == weights.shape == (quad.nodes_per_dim,)
+        panels = int(np.ceil(quad.nodes_per_dim / gbsm.PANEL_NODES))
+        assert angles.shape == weights.shape == (gbsm.PANEL_NODES * panels,)
         assert np.all(weights > 0)
         assert abs(weights.sum() - 1.0) <= 1e-15
 
@@ -474,7 +485,7 @@ def test_node_functions_keep_the_inline_arithmetic():
     # The node sets as the builders wrote them inline before the measures
     # were factored out; any change here moves output bytes.
     for quad in QUADS:
-        x, w = np.polynomial.legendre.leggauss(quad.nodes_per_dim)
+        x, w = gbsm._leggauss(quad.nodes_per_dim)
         phi, delta, sigma = 0.4, np.radians(20), np.radians(10)
         angles, weights = gbsm.onering_nodes(phi, delta, quad)
         assert np.array_equal(angles, phi + delta * x) and np.array_equal(weights, w / 2.0)
@@ -515,33 +526,35 @@ def test_upa_builders_are_outer_product_of_measures(quad):
 
 
 def test_sized_quadrature_floor_growth_and_cap():
+    # No floor and no cap are left: the count is the whole panels that cover 1.5 times
+    # the need, plus one panel.
     def nodes(spread, d, m):
         return gbsm.sized_quadrature(spread, d, m).nodes_per_dim
 
-    # below a need of 80 the floor is 2 * need + 32, rounded up to a multiple of 32
-    assert nodes(0.0, 0.5, 100) == 32
-    assert nodes(0.1, 0.5, 100) == 96           # 4 * 0.1 * 0.5 * 100 = 20 nodes needed
-    assert nodes(0.5, 1.0, 100) == gbsm.DEFAULT_NODES == 201   # 200 nodes needed
-    assert nodes(0.5, 5.0, 100) == 1001
-    assert nodes(0.50001, 5.0, 100) == 1002
-    assert nodes(1.0, 10.0, 100) == gbsm.MAX_QUAD_NODES == 4001
-    # no cap: past the largest solved rule the count still grows with the need
-    assert nodes(1.0, 10.0, 101) == 4041 and nodes(3.0, 10.0, 400) == 48001
-    # 4 * 0.25 * d_H * 100 = 100 d_H needed, exact in binary: steps of 50 nodes
+    assert gbsm.PANEL_NODES == 32
+    assert nodes(0.0, 0.5, 100) == 32           # nothing needed: one panel
+    assert nodes(0.1, 0.5, 100) == 64           # 4 * 0.1 * 0.5 * 100 = 20 nodes needed
+    assert nodes(np.radians(10.0), 0.5, 100) == 96   # an XL one-ring cluster: 34.9 needed
+    assert nodes(0.5, 1.0, 100) == 352          # 200 needed: ceil(300 / 32) + 1 = 11 panels
+    assert nodes(1.0, 10.0, 100) == 6048        # 4000 needed: 188 + 1 panels
+    assert nodes(3.0, 10.0, 400) == 72032       # 48000 needed, with no cap
+    # 4 * 0.25 * d_H * 100 = 100 d_H needed, exact in binary: 150 d_H nodes in whole panels,
+    # two or three more panels per half-wavelength step
     grown = [nodes(0.25, d, 100) for d in np.arange(1.0, 45.0, 0.5)]
-    assert grown[:3] == [201, 201, 201] and grown[3:6] == [251, 301, 351]
-    assert grown[-1] == 4451 and set(np.diff(grown)) == {0, 50}
+    assert grown[:3] == [192, 288, 352] and grown[-1] == 6720
+    assert set(np.diff(grown)) == {64, 96}
 
 
 def test_sized_quadrature_never_exceeds_the_201_floor_rule():
+    # The name predates the panels; the 201 floor is gone.  Over the same grid every
+    # sized count is whole panels, at least need + 1, and under 1.5 * need + 2 panels.
     for spread in np.radians([0.0, 0.5, 2.0, 5.0, 10.0, 15.0, 30.0, 60.0, 90.0]):
         for d in (0.05, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0):
             for m in (1, 2, 5, 10, 16, 20, 60, 100, 220, 380):
                 need = gbsm._nodes_needed(spread, d, m)
-                old = max(201, int(np.ceil(need)) + 1)
                 n = gbsm.sized_quadrature(spread, d, m).nodes_per_dim
-                assert min(2 * need, old) <= n <= old
-                assert n == old or (n % 32 == 0 and need <= 80)
+                assert n % gbsm.PANEL_NODES == 0
+                assert need + 1 <= n < 1.5 * need + 2 * gbsm.PANEL_NODES
 
 
 # (build at a node count, window half-width, spacing, antennas per axis), each at a need
@@ -574,19 +587,15 @@ def test_sized_count_converges_below_201_nodes(case):
     assert capacity_ub(r, 1e6) == pytest.approx(capacity_ub(ref, 1e6), rel=1e-10, abs=0)
 
 
-def test_leggauss_tiles_the_largest_solved_rule_over_equal_panels(monkeypatch):
-    # A 40-node stand-in for MAX_QUAD_NODES keeps the eigensolve cheap; the cache is
-    # cleared on both sides so that no stand-in rule outlives the test.
-    monkeypatch.setattr(gbsm, "MAX_QUAD_NODES", 40)
-    gbsm._leggauss.cache_clear()
-    try:
-        x, w = gbsm._leggauss(81)   # 3 panels of the 40-node rule on [-1, 1]
-        x40, w40 = np.polynomial.legendre.leggauss(40)
-    finally:
-        gbsm._leggauss.cache_clear()
-    assert x.size == w.size == 120 and -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
-    assert np.array_equal(w, np.tile(w40 / 3, 3))
-    assert np.abs(x - (np.repeat([-2.0, 0.0, 2.0], 40) + np.tile(x40, 3)) / 3).max() <= 1e-15
+def test_leggauss_tiles_the_largest_solved_rule_over_equal_panels():
+    # The one solved rule is the PANEL_NODES-node rule; one panel is that rule itself.
+    x32, w32 = np.polynomial.legendre.leggauss(gbsm.PANEL_NODES)
+    x, w = gbsm._leggauss(gbsm.PANEL_NODES)
+    assert np.array_equal(x, x32) and np.array_equal(w, w32)
+    x, w = gbsm._leggauss(81)   # 3 panels of the 32-node rule on [-1, 1]
+    assert x.size == w.size == 96 and -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
+    assert np.array_equal(w, np.tile(w32 / 3, 3))
+    assert np.abs(x - (np.repeat([-2.0, 0.0, 2.0], 32) + np.tile(x32, 3)) / 3).max() <= 1e-15
     k = 60.0   # an integrand with about 19 oscillations over the window
     assert abs(w @ np.cos(k * x) - 2.0 * np.sin(k) / k) <= 1e-13
 
@@ -602,9 +611,9 @@ D_H_GRID = np.arange(0.0, 10.01, 0.5)   # the d_H sweep of fig10d and fig12d
 def test_sized_builders_warn_exactly_when_the_cap_binds(monkeypatch, build, spread_deg,
                                                          window):
     # The warning depends only on the node count, so three nodes stand in
-    # for the sized set and no large eigensolve is paid.  No cap is left to
-    # bind: every sized count meets the need, so no sized build warns, while
-    # one node fewer than the need still does.
+    # for the sized set and the builds stay small.  No cap is left to bind:
+    # every sized count meets the need, so no sized build warns, while one
+    # node fewer than the need still does.
     monkeypatch.setattr(gbsm, "_leggauss", lambda n: np.polynomial.legendre.leggauss(3))
     spread = np.radians(spread_deg)
     key = "delta_phi" if build is onering_ula else "sigma_phi"
@@ -621,17 +630,15 @@ def test_sized_builders_warn_exactly_when_the_cap_binds(monkeypatch, build, spre
                       **{key: spread})
             assert any(issubclass(w.category, QuadratureWarning) for w in caught) == warns
         counts.append(quad.nodes_per_dim)
-    # fig12d at sigma = 15 deg needs 628 d_H nodes: above 4001 from d_H = 6.5 on
-    above = [n > gbsm.MAX_QUAD_NODES for n in counts]
-    assert above == (list(D_H_GRID >= 6.5) if spread_deg == 15.0 else [False] * D_H_GRID.size)
+    # Whole panels that grow with d_H, the need.
+    assert all(n % gbsm.PANEL_NODES == 0 for n in counts) and np.all(np.diff(counts) >= 0)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("d_h", [8.5, 10.0])
 def test_fig12d_capped_rows_reach_the_uncorrelated_limit(d_h):
     # sigma_phi = 15 deg, phi = 0, M = 100: a 2e6-point trapezoid puts every off-diagonal
     # entry below 1.4e-8, so C_ub is the uncorrelated limit at eta = 10^6.  These rows
-    # need more than 4001 nodes and take panels of the 4001-node rule, without a warning.
+    # need more than 4001 nodes, which a cap once withheld; they take them without a warning.
     cfg = apply_point(preset("fig12d"), {"d_h": d_h, "sigma_phi": 15.0})
     assert (cfg.m, cfg.phi_deg, cfg.snr_db) == (100, 0.0, 60.0)
     with warnings.catch_warnings():
@@ -669,3 +676,30 @@ def test_ula_long_lag_entry_matches_extended_precision():
     # Measured: 9.3e-14, the same as the dense product's; both inherit the phase rounding.
     assert abs(r[m - 1, 0] - exact) <= 3e-13
     assert r[0, m - 1] == r[m - 1, 0].conjugate()
+
+
+# The deterministic quadrature presets.  Each row is one capacity_ub value at trials = 1.
+QUADRATURE_PRESETS = ["fig10a", "fig10b", "fig10c", "fig10d", "fig11a", "fig12d", "fig13a",
+                      "fig13b", "fig13c", "fig13d", "fig14a", "fig14b", "fig14c"]
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=pytest.mark.slow) if n == "fig14c" else n for n in QUADRATURE_PRESETS])
+def test_preset_rows_agree_with_twice_the_panels(monkeypatch, name):
+    # Every row of the preset's full grid against the same sweep on twice the panels.
+    # Measured worst: 7.3e-12 relative (fig13b); the bound is twice that, and below
+    # the 2.3e-11 that the one global rule per size read against its 2n + 1 refinement.
+    # The fig14c case takes about 10 s, so it is marked slow.
+    cfg = preset(name)
+    assert cfg.trials == 1 and cfg.workers == 1
+
+    def means():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
+            return np.array([row[-4] for row in run_experiment(cfg).rows])
+
+    sized = means()
+    leggauss = gbsm._leggauss
+    monkeypatch.setattr(gbsm, "_leggauss", lambda n: leggauss(2 * n))
+    refined = means()
+    assert np.all(np.abs(sized - refined) <= 1.5e-11 * np.abs(refined))

@@ -96,9 +96,13 @@ def test_preset_bytes_default_run_reaches_the_banded_log_det(tmp_path, monkeypat
     preset_bytes = importlib.import_module("preset_bytes")
     out = tmp_path / "out"
     preset_bytes.main(out, [])
-    assert len(list(out.iterdir())) == 3 * len(preset_names()) + 4
+    assert len(list(out.iterdir())) == 3 * len(preset_names()) + 6
     assert "curve.grid = uncorrelated,exponential,onering\n" in \
         (out / "fig15c-kinds.csv.manifest").read_text("utf-8")
+    want = tmp_path / "wide.csv"
+    emit_csv(run_experiment(preset_bytes.wide_config()), want)
+    assert (out / "fig12d-wide.csv").read_bytes() == want.read_bytes()
+    assert "sweep.grid = 6.5,10.0\n" in (out / "fig12d-wide.csv.manifest").read_text("utf-8")
     bands, factor = [], linalg._cholesky_diagonal
 
     def spy(a, scale, shift, kd=None):

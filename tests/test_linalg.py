@@ -13,12 +13,12 @@ from chansim.cbsm import (exponential_correlation, exponential_with_shadowing,
 from chansim.errors import InvalidMatrix, InvalidParam, NotPSD
 from chansim.gbsm import (QuadratureConfig, UlaGeometry, UpaGeometry, gaussian_ula_closed,
                           gaussian_ula_numeric, gaussian_ula_shadowed, gaussian_upa, onering_ula,
-                          onering_upa)
+                          onering_upa, sized_quadrature)
 from chansim.linalg import (PSD_RTOL, check_hermitian, complex_gaussian, condition_number,
                             flush_subnormals, log2_det_ipm, one_blas_thread, psd_eigvals,
                             psd_sqrt, sample_correlated)
 from chansim.metrics import capacity_single, capacity_ub
-from chansim.xlmimo import CLUSTER_CORR_QUADRATURE, CLUSTER_CORR_SPACING
+from chansim.xlmimo import CLUSTER_CORR_SPACING
 
 
 def random_psd(m, rng):
@@ -592,9 +592,10 @@ def sqrt_paths(monkeypatch):
 
 
 def fig15_cluster(m=100, phi=0.3, delta_deg=10.0):
-    """An XL one-ring cluster correlation as fig15 builds it (M = 100, 101 nodes, 0.5 lambda)."""
-    return onering_ula(UlaGeometry(m=m, d_h=CLUSTER_CORR_SPACING), phi=phi,
-                       delta_phi=np.radians(delta_deg), quad=CLUSTER_CORR_QUADRATURE)
+    """An XL one-ring cluster correlation as fig15 builds it (M = 100, 96 nodes, 0.5 lambda)."""
+    delta = np.radians(delta_deg)
+    return onering_ula(UlaGeometry(m=m, d_h=CLUSTER_CORR_SPACING), phi=phi, delta_phi=delta,
+                       quad=sized_quadrature(delta, CLUSTER_CORR_SPACING, m))
 
 
 def eigen_psd_sqrt(a):
